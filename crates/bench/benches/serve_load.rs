@@ -20,10 +20,7 @@
 
 use diffy_bench::{bench_options, bench_smoke, write_bench_json, BenchRecord};
 use diffy_core::summary::TextTable;
-use diffy_serve::{
-    closed_loop_bodies, closed_loop_mode, get, post, LoadMode, ServeConfig, Server, SessionClient,
-    ShardedConfig, ShardedServer,
-};
+use diffy_serve::{closed_loop_mode, get, post, LoadMode, ServeConfig, Server, SessionClient};
 use std::time::Duration;
 
 /// Evaluations per `/evaluate/batch` request in batch mode.
@@ -323,9 +320,9 @@ fn main() {
         std::thread::sleep(Duration::from_millis(25));
     }
     let wakeups_before = poller_counter(idle_addr, "wakeups");
-    let idle_report = closed_loop_bodies(
+    let idle_report = closed_loop_mode(
         idle_addr,
-        &[&body],
+        &body,
         2,
         (total_requests / 2).max(1),
         TIMEOUT,
@@ -357,132 +354,6 @@ fn main() {
     idle_handle.shutdown();
     idle_thread.join().expect("idle server drains");
 
-    // -- Sharded ensemble vs single instance ----------------------------
-    // A four-key workload mix (distinct seeds → distinct trace keys →
-    // distinct shard placements) at c4, against one instance and against
-    // `--shards 2` behind the fan-out router. On a multi-core host the
-    // sharded rps scales with the shard count; on a 1-core container the
-    // two rows share the core and the ratio reads as the router tax.
-    // Seeds are picked against the router's own ring so the mix provably
-    // covers both shards — a blind handful of keys can all hash to one
-    // partition, which would make the sharded row measure nothing.
-    let ring = diffy_serve::shard::ShardRing::new(2);
-    let mut per_shard = [0usize; 2];
-    let mut shard_bodies: Vec<String> = Vec::with_capacity(4);
-    for seed in 1u64.. {
-        let body = format!(
-            r#"{{"model": "IRCNN", "dataset": "Kodak24", "resolution": {resolution}, "seed": {seed}}}"#
-        );
-        let key = diffy_serve::shard::trace_key(body.as_bytes()).expect("mix body has a trace key");
-        let shard = ring.shard_of_key(&key);
-        if per_shard[shard] < 2 {
-            per_shard[shard] += 1;
-            shard_bodies.push(body);
-        }
-        if shard_bodies.len() == 4 {
-            break;
-        }
-    }
-    let mix: Vec<&str> = shard_bodies.iter().map(|b| b.as_str()).collect();
-    let mix_concurrency = 4usize;
-    let mix_per_client = (total_requests / mix_concurrency).max(1);
-    let mut shard_table = TextTable::new(vec![
-        "topology", "clients", "ok", "errors", "rps", "mean ms", "p50 ms", "p90 ms", "p99 ms",
-    ]);
-    let mut mix_rps_single = None;
-    for shards in [1usize, 2] {
-        let (addr, handle, thread, topology) = if shards == 1 {
-            let server =
-                Server::bind(ServeConfig { addr: "127.0.0.1:0".into(), ..Default::default() })
-                    .expect("bind single instance");
-            let addr = server.local_addr();
-            let handle = server.handle();
-            let thread = std::thread::spawn(move || server.run().expect("single run"));
-            (addr, Ok(handle), thread, "single".to_string())
-        } else {
-            let ensemble = ShardedServer::bind(ShardedConfig {
-                addr: "127.0.0.1:0".into(),
-                shards,
-                base: ServeConfig { addr: "127.0.0.1:0".into(), ..Default::default() },
-                ..ShardedConfig::default()
-            })
-            .expect("bind sharded ensemble");
-            let addr = ensemble.local_addr();
-            let handle = ensemble.handle();
-            let thread = std::thread::spawn(move || ensemble.run().expect("ensemble run"));
-            (addr, Err(handle), thread, format!("shards={shards}"))
-        };
-        // One untimed pass per body: every shard serves its keys warm.
-        for b in &mix {
-            let warm = post(addr, "/evaluate", b, TIMEOUT).expect("mix warm-up");
-            assert_eq!(warm.status, 200, "mix warm-up failed: {}", warm.body);
-        }
-        let report = closed_loop_bodies(
-            addr,
-            &mix,
-            mix_concurrency,
-            mix_per_client,
-            TIMEOUT,
-            LoadMode::KeepAlive,
-        );
-        assert_eq!(report.errors, 0, "sharded mix run must not shed");
-        shard_table.row(vec![
-            topology.clone(),
-            mix_concurrency.to_string(),
-            report.ok.to_string(),
-            report.errors.to_string(),
-            format!("{:.2}", report.throughput_rps),
-            format!("{:.2}", report.mean_ms),
-            format!("{:.2}", report.p50_ms),
-            format!("{:.2}", report.p90_ms),
-            format!("{:.2}", report.p99_ms),
-        ]);
-        let key = if shards == 1 { "mix_single".to_string() } else { format!("mix_shard{shards}") };
-        records.push(BenchRecord {
-            name: format!("serve_{key}_keepalive_c{mix_concurrency}"),
-            wall_ms: report.mean_ms,
-            iters: report.ok,
-            per_second: Some(report.throughput_rps),
-        });
-        summary.push((format!("rps_{key}_c{mix_concurrency}"), report.throughput_rps));
-        summary.push((format!("p50_ms_{key}_c{mix_concurrency}"), report.p50_ms));
-        if shards == 1 {
-            mix_rps_single = Some(report.throughput_rps);
-        } else if let Some(base) = mix_rps_single {
-            summary.push((format!("speedup_shard{shards}_vs_single"), report.throughput_rps / base));
-        }
-        if shards > 1 {
-            // The router's own ledger: every evaluation attributed to a
-            // shard, no forwarding failures, both partitions exercised.
-            let m = diffy_core::json::parse(&get(addr, "/metrics", TIMEOUT).unwrap().body).unwrap();
-            let sh = m.get("shards").expect("shards block");
-            assert_eq!(sh.get("route_errors").and_then(|v| v.as_u64()), Some(0));
-            let routed: Vec<u64> = sh
-                .get("routed")
-                .and_then(|r| r.as_array())
-                .expect("routed array")
-                .iter()
-                .map(|n| n.as_u64().unwrap())
-                .collect();
-            assert!(
-                routed.iter().all(|&n| n > 0),
-                "the four-key mix must land on every shard: {routed:?}"
-            );
-        }
-        match handle {
-            Ok(h) => h.shutdown(),
-            Err(h) => h.shutdown(),
-        }
-        thread.join().expect("topology drains");
-    }
-    println!("workload mix: 4 trace keys, keep-alive, c{mix_concurrency} (closed loop)");
-    println!("{}", shard_table.render());
-    println!(
-        "(1-core host: both topologies share the core, so the sharded row reads as \
-         router overhead; rps scales with shards only when cores do)"
-    );
-    println!();
-
     let meta = [
         ("model", "IRCNN".to_string()),
         ("dataset", "Kodak24".to_string()),
@@ -490,10 +361,9 @@ fn main() {
         ("requests_per_level", total_requests.to_string()),
         ("batch_size", BATCH_SIZE.to_string()),
         ("stream_frames_per_session", stream_frames.to_string()),
-        ("modes", "one-shot,keep-alive,batch,streaming,disk-cold,idle-fleet,sharded".to_string()),
+        ("modes", "one-shot,keep-alive,batch,streaming,disk-cold,idle-fleet".to_string()),
         ("disk_cold_requests", cold_requests.to_string()),
         ("idle_fleet_conns", idle_conns.to_string()),
-        ("shard_mix", format!("4 trace keys, keep-alive, c{mix_concurrency}, shards 1 vs 2")),
         ("server_workers", workers.to_string()),
         ("host_parallelism", num_cores().to_string()),
     ];

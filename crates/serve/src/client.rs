@@ -167,18 +167,7 @@ impl KeepAliveClient {
         path: &str,
         body: Option<&str>,
     ) -> io::Result<HttpResponse> {
-        self.request_raw(method, path, body.unwrap_or("").as_bytes())
-    }
-
-    /// Issues one request whose body is raw bytes. The shard router
-    /// forwards downstream request bodies through this path verbatim, so
-    /// a byte-for-byte relay never depends on the body being UTF-8.
-    pub fn request_raw(
-        &mut self,
-        method: &str,
-        path: &str,
-        body: &[u8],
-    ) -> io::Result<HttpResponse> {
+        let body = body.unwrap_or("");
         let reused = self.conn.is_some();
         match self.attempt(method, path, body) {
             // A reused socket may have been closed under us (idle
@@ -191,7 +180,7 @@ impl KeepAliveClient {
         }
     }
 
-    fn attempt(&mut self, method: &str, path: &str, body: &[u8]) -> io::Result<HttpResponse> {
+    fn attempt(&mut self, method: &str, path: &str, body: &str) -> io::Result<HttpResponse> {
         if self.conn.is_none() {
             let stream = TcpStream::connect_timeout(&self.addr, self.timeout)?;
             stream.set_read_timeout(Some(self.timeout))?;
@@ -218,7 +207,7 @@ impl KeepAliveClient {
         &mut self,
         method: &str,
         path: &str,
-        body: &[u8],
+        body: &str,
     ) -> io::Result<(HttpResponse, bool)> {
         let bad = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_string());
         let reader = self.conn.as_mut().expect("connected");
@@ -226,15 +215,12 @@ impl KeepAliveClient {
         {
             // Single write for head + body: segmented writes on a warm
             // connection stall on Nagle + delayed-ACK.
-            let head = format!(
-                "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\nConnection: keep-alive\r\n\r\n",
+            let request = format!(
+                "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\nConnection: keep-alive\r\n\r\n{body}",
                 body.len()
             );
-            let mut request = Vec::with_capacity(head.len() + body.len());
-            request.extend_from_slice(head.as_bytes());
-            request.extend_from_slice(body);
             let stream = reader.get_mut();
-            stream.write_all(&request)?;
+            stream.write_all(request.as_bytes())?;
             stream.flush()?;
         }
 

@@ -19,11 +19,6 @@
 //!   pinned to a worker, never occupying an admission slot, costing no
 //!   periodic sweeps — and closed after `idle_timeout_ms`; every
 //!   connection turns over after `max_requests_per_conn`.
-//! * **Sharding** — [`shard::ShardedServer`] runs N instances, each
-//!   owning a consistent-hash partition of the evaluation key space,
-//!   behind a thin router that forwards each request by its trace key's
-//!   hash (`diffy serve --shards N`). Responses through the router are
-//!   byte-identical to a single instance's.
 //! * **Batching** — `POST /evaluate/batch` evaluates many grid points in
 //!   one request, fanned over the worker pool through the shared cache
 //!   (term planes build once per layer across the batch) under a
@@ -73,13 +68,11 @@ pub mod poller;
 pub mod protocol;
 pub mod server;
 pub mod session;
-pub mod shard;
 
 pub use client::{get, post, HttpResponse, KeepAliveClient, SessionClient};
-pub use load::{batch_body, closed_loop, closed_loop_bodies, closed_loop_mode, LoadMode, LoadReport};
+pub use load::{batch_body, closed_loop_mode, LoadMode, LoadReport};
 pub use metrics::{CloseReason, LatencyHistogram, Metrics};
 pub use poller::Poller;
 pub use protocol::{result_to_json, BatchRequest, EvalRequest, FrameRequest, SessionRequest};
 pub use server::{ServeConfig, Server, ServerHandle};
 pub use session::{SessionStats, SessionStore};
-pub use shard::{ShardRing, ShardedConfig, ShardedHandle, ShardedServer};

@@ -1,6 +1,6 @@
 //! Closed-loop load generation against a running server.
 //!
-//! `closed_loop` runs `concurrency` clients, each issuing its requests
+//! `closed_loop_mode` runs `concurrency` clients, each issuing its requests
 //! back-to-back (a new request the moment the previous response lands —
 //! the classic closed-loop model, so offered load scales with measured
 //! throughput). Latencies are exact client-side samples; percentiles are
@@ -69,26 +69,15 @@ fn percentile(sorted: &[f64], q: f64) -> f64 {
     sorted[rank - 1]
 }
 
-/// Runs `concurrency` closed-loop clients, each posting `body` to
-/// `/evaluate` `requests_per_client` times, and aggregates the outcome.
+/// Runs `concurrency` closed-loop clients, each issuing
+/// `requests_per_client` evaluations of `body` in `mode`, and aggregates
+/// the outcome. `requests_per_client` always counts *evaluations*, so
+/// reports are comparable across modes; [`LoadMode::Batch`] groups them
+/// into ceil(requests/size) batch posts (last batch possibly short).
 ///
 /// Client fan-out rides the same deterministic pool the sweeps use
 /// (`run_jobs`); each client is self-contained, so the report is a pure
 /// aggregation over per-request samples.
-pub fn closed_loop(
-    addr: SocketAddr,
-    body: &str,
-    concurrency: usize,
-    requests_per_client: usize,
-    timeout: Duration,
-) -> LoadReport {
-    closed_loop_mode(addr, body, concurrency, requests_per_client, timeout, LoadMode::OneShot)
-}
-
-/// [`closed_loop`] generalized over the connection/batching strategy.
-/// `requests_per_client` always counts *evaluations*, so reports are
-/// comparable across modes; [`LoadMode::Batch`] groups them into
-/// ceil(requests/size) batch posts (last batch possibly short).
 pub fn closed_loop_mode(
     addr: SocketAddr,
     body: &str,
@@ -97,33 +86,13 @@ pub fn closed_loop_mode(
     timeout: Duration,
     mode: LoadMode,
 ) -> LoadReport {
-    closed_loop_bodies(addr, &[body], concurrency, requests_per_client, timeout, mode)
-}
-
-/// [`closed_loop_mode`] with a body *mix*: client `i` drives
-/// `bodies[i % bodies.len()]` for its whole allotment. Against a sharded
-/// ensemble this is the shard-aware load shape — distinct trace keys
-/// hash to distinct partitions, so the mix exercises the router's
-/// fan-out instead of funneling every client onto one shard's cache.
-pub fn closed_loop_bodies(
-    addr: SocketAddr,
-    bodies: &[&str],
-    concurrency: usize,
-    requests_per_client: usize,
-    timeout: Duration,
-    mode: LoadMode,
-) -> LoadReport {
     assert!(concurrency >= 1 && requests_per_client >= 1);
-    assert!(!bodies.is_empty(), "need at least one load body");
     if let LoadMode::Batch(size) = mode {
         assert!(size >= 1, "batch size must be at least 1");
     }
     let started = Instant::now();
     let clients: Vec<_> = (0..concurrency)
-        .map(|i| {
-            let body = bodies[i % bodies.len()];
-            move || run_client(addr, body, requests_per_client, timeout, mode)
-        })
+        .map(|_| move || run_client(addr, body, requests_per_client, timeout, mode))
         .collect();
     let outcomes = run_jobs(clients, Jobs::new(concurrency));
     let wall_s = started.elapsed().as_secs_f64();

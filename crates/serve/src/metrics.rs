@@ -433,21 +433,6 @@ impl Default for Metrics {
     }
 }
 
-/// Renders a sharded deployment's `/metrics` body: the router's own
-/// forwarding counters plus every instance's scraped snapshot, so one
-/// scrape of the router shows the whole fleet. `routed[i]` counts
-/// requests forwarded to shard `i`; `instances[i]` is shard `i`'s own
-/// `/metrics` JSON (or `null` when a scrape failed — visible, not
-/// silently dropped).
-pub fn shards_to_json(routed: &[u64], route_errors: u64, instances: Vec<JsonValue>) -> JsonValue {
-    JsonValue::object(vec![
-        ("count", routed.len().into()),
-        ("routed", JsonValue::Array(routed.iter().map(|&n| n.into()).collect())),
-        ("route_errors", route_errors.into()),
-        ("instances", JsonValue::Array(instances)),
-    ])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -603,21 +588,6 @@ mod tests {
         assert_eq!(p.get("unparked").unwrap().as_u64(), Some(2));
         assert_eq!(p.get("expired").unwrap().as_u64(), Some(1));
         assert_eq!(p.get("park_refused").unwrap().as_u64(), Some(0));
-        assert!(diffy_core::json::parse(&v.to_json()).is_ok());
-    }
-
-    #[test]
-    fn shards_block_carries_per_shard_routing_and_snapshots() {
-        let inst = Metrics::new().to_json(0, 8, CacheStats::default(), SessionStats::default());
-        let v = shards_to_json(&[5, 3], 1, vec![inst, JsonValue::Null]);
-        assert_eq!(v.get("count").unwrap().as_u64(), Some(2));
-        assert_eq!(v.get("route_errors").unwrap().as_u64(), Some(1));
-        let routed = v.get("routed").unwrap().as_array().unwrap();
-        assert_eq!(routed[0].as_u64(), Some(5));
-        assert_eq!(routed[1].as_u64(), Some(3));
-        let instances = v.get("instances").unwrap().as_array().unwrap();
-        assert!(instances[0].get("poller").is_some());
-        assert!(matches!(instances[1], JsonValue::Null));
         assert!(diffy_core::json::parse(&v.to_json()).is_ok());
     }
 

@@ -24,10 +24,11 @@
 //!
 //! # Portability
 //!
-//! On non-Linux targets a fallback with the same API polls registered
-//! sockets with non-blocking `peek`s on a short tick — the old parker's
-//! cadence, kept only so the crate still builds and serves elsewhere;
-//! the production target (and CI) is Linux.
+//! Linux only: the serve layer has no other readiness path, and a
+//! non-Linux build stops here with a `compile_error!` naming the reason.
+
+#[cfg(not(target_os = "linux"))]
+compile_error!("diffy-serve builds on Linux only: its event loop is an epoll poller");
 
 /// Token reserved by the server's event loop for its listener.
 pub const LISTENER_TOKEN: u64 = 0;
@@ -39,7 +40,6 @@ pub const FIRST_CONN_TOKEN: u64 = 2;
 /// Internal token for the wake eventfd; never returned from `wait`.
 const WAKE_TOKEN: u64 = u64::MAX;
 
-#[cfg(target_os = "linux")]
 mod sys {
     use super::WAKE_TOKEN;
     use std::io;
@@ -251,121 +251,6 @@ mod sys {
     }
 }
 
-#[cfg(not(target_os = "linux"))]
-mod sys {
-    use std::io;
-    use std::net::{TcpListener, TcpStream};
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Mutex;
-    use std::time::{Duration, Instant};
-
-    /// Fallback poll cadence: the old parker's sweep interval.
-    const TICK: Duration = Duration::from_millis(2);
-
-    /// Portable readability wait: a blocking `peek` under a read
-    /// timeout. Timer-tick rounding makes this overshoot `timeout`; the
-    /// Linux build uses `poll(2)` instead.
-    pub fn wait_readable(stream: &TcpStream, timeout: Duration) -> io::Result<bool> {
-        let prev = stream.read_timeout()?;
-        stream.set_read_timeout(Some(timeout))?;
-        let mut probe = [0u8; 1];
-        let out = match stream.peek(&mut probe) {
-            Ok(_) => Ok(true),
-            Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) => {
-                Ok(false)
-            }
-            // A dead socket is "readable": the caller's read surfaces it.
-            Err(_) => Ok(true),
-        };
-        stream.set_read_timeout(prev)?;
-        out
-    }
-
-    /// Portable fallback: non-blocking `peek` sweeps over registered
-    /// sockets on a short tick. The listener cannot be probed portably,
-    /// so its token is reported every tick and the caller's non-blocking
-    /// `accept` disambiguates — the pre-epoll acceptor's exact cadence.
-    pub struct Poller {
-        streams: Mutex<Vec<(u64, TcpStream)>>,
-        listener_token: Mutex<Option<u64>>,
-        woken: AtomicBool,
-    }
-
-    impl Poller {
-        /// A fresh fallback poller with nothing registered.
-        pub fn new() -> io::Result<Poller> {
-            Ok(Poller {
-                streams: Mutex::new(Vec::new()),
-                listener_token: Mutex::new(None),
-                woken: AtomicBool::new(false),
-            })
-        }
-
-        /// Remembers the listener's token so every wait reports it.
-        pub fn register_listener(&self, _listener: &TcpListener, token: u64) -> io::Result<()> {
-            *self.listener_token.lock().expect("poller poisoned") = Some(token);
-            Ok(())
-        }
-
-        /// Adds a connection to the peek sweep under `token`.
-        pub fn register(&self, stream: &TcpStream, token: u64) -> io::Result<()> {
-            let clone = stream.try_clone()?;
-            self.streams.lock().expect("poller poisoned").push((token, clone));
-            Ok(())
-        }
-
-        /// Removes a connection from the peek sweep.
-        pub fn deregister(&self, stream: &TcpStream) -> io::Result<()> {
-            let peer = stream.peer_addr()?;
-            let mut streams = self.streams.lock().expect("poller poisoned");
-            streams.retain(|(_, s)| s.peer_addr().map(|p| p != peer).unwrap_or(false));
-            Ok(())
-        }
-
-        /// Currently watched connection count (diagnostic gauge).
-        pub fn registered(&self) -> u64 {
-            self.streams.lock().expect("poller poisoned").len() as u64
-        }
-
-        /// Interrupts a concurrent [`Poller::wait`].
-        pub fn wake(&self) {
-            self.woken.store(true, Ordering::SeqCst);
-        }
-
-        /// Sweeps registered sockets until one is readable, a wake
-        /// arrives, or `timeout` passes; appends ready tokens to `out`.
-        pub fn wait(&self, out: &mut Vec<u64>, timeout: Duration) -> io::Result<()> {
-            out.clear();
-            let deadline = Instant::now() + timeout;
-            loop {
-                if self.woken.swap(false, Ordering::SeqCst) {
-                    return Ok(());
-                }
-                {
-                    let streams = self.streams.lock().expect("poller poisoned");
-                    let mut probe = [0u8; 1];
-                    for (token, stream) in streams.iter() {
-                        match stream.peek(&mut probe) {
-                            Ok(_) => out.push(*token),
-                            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
-                            // Dead socket: readable (EOF/err) to the caller.
-                            Err(_) => out.push(*token),
-                        }
-                    }
-                }
-                if !out.is_empty() || Instant::now() >= deadline {
-                    // The listener may have a pending accept at any time.
-                    if let Some(t) = *self.listener_token.lock().expect("poller poisoned") {
-                        out.push(t);
-                    }
-                    return Ok(());
-                }
-                std::thread::sleep(TICK.min(deadline.saturating_duration_since(Instant::now())));
-            }
-        }
-    }
-}
-
 pub use sys::{wait_readable, Poller};
 
 #[cfg(test)]
@@ -439,6 +324,36 @@ mod tests {
             }
         }
         assert!(seen, "peer close must be reported as readiness");
+    }
+
+    #[test]
+    fn wait_readable_reports_pending_bytes_and_a_closed_peer() {
+        let (mut client, server_side) = pair();
+        client.write_all(b"x").unwrap();
+        assert!(wait_readable(&server_side, Duration::from_secs(2)).unwrap(), "pending bytes");
+
+        let (client, server_side) = pair();
+        drop(client);
+        assert!(wait_readable(&server_side, Duration::from_secs(2)).unwrap(), "closed peer");
+    }
+
+    #[test]
+    fn wait_readable_times_out_on_a_quiet_socket_at_the_grace_as_written() {
+        // The park grace is 2 ms. A blocking peek under SO_RCVTIMEO
+        // rounded it up to the timer tick (about 8 ms at HZ=250); poll(2)
+        // must not.
+        let (_client, server_side) = pair();
+        let mut waits: Vec<Duration> = (0..20)
+            .map(|_| {
+                let t0 = Instant::now();
+                let ready = wait_readable(&server_side, Duration::from_millis(2)).unwrap();
+                assert!(!ready, "a quiet socket is not readable");
+                t0.elapsed()
+            })
+            .collect();
+        waits.sort();
+        let median = waits[waits.len() / 2];
+        assert!(median < Duration::from_millis(5), "median 2 ms wait took {median:?}");
     }
 
     #[test]

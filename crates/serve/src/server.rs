@@ -443,7 +443,6 @@ impl Shared {
 /// the handler does exactly one atomic store.
 static SIGNAL_DRAIN: AtomicBool = AtomicBool::new(false);
 
-#[cfg(unix)]
 fn install_signal_handler() {
     unsafe extern "C" fn on_signal(_signum: i32) {
         SIGNAL_DRAIN.store(true, Ordering::SeqCst);
@@ -459,9 +458,6 @@ fn install_signal_handler() {
         signal(2, on_signal);
     }
 }
-
-#[cfg(not(unix))]
-fn install_signal_handler() {}
 
 /// A bound evaluation server. [`Server::run`] blocks the calling thread
 /// until shutdown; use [`Server::handle`] (or `POST /shutdown`, or

@@ -25,6 +25,7 @@ use diffy::imaging::datasets::DatasetId;
 use diffy::memsys::{MemoryNode, MemorySystem};
 use diffy::models::CiModel;
 use diffy::sim::{AcceleratorConfig, Architecture};
+use std::cell::Cell;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -33,11 +34,11 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     };
-    let rest = &args[1..];
+    let args = Args::new(cmd, &args[1..]);
     // --trace-out applies to every command: capture spans across the run
     // and write them as Chrome trace-event JSON on exit. `serve` also
     // exposes the live capture at GET /trace.
-    let trace_out = match parse_flag(rest, "--trace-out") {
+    let trace_out = match args.flag("--trace-out") {
         Ok(t) => t,
         Err(e) => {
             eprintln!("error: {e}");
@@ -48,19 +49,16 @@ fn main() -> ExitCode {
         diffy::core::trace::Collector::global().start();
     }
     let result = match cmd.as_str() {
-        "compare" => cmd_compare(rest),
-        "sweep" => cmd_sweep(rest),
-        "stats" => cmd_stats(rest),
-        "schemes" => cmd_schemes(rest),
-        "models" => cmd_models(),
-        "report" => cmd_report(rest),
-        "experiments" => cmd_experiments(),
-        "serve" => cmd_serve(rest),
-        "precompute" => cmd_precompute(rest),
-        "help" | "--help" | "-h" => {
-            println!("{USAGE}");
-            Ok(())
-        }
+        "compare" => cmd_compare(&args),
+        "sweep" => cmd_sweep(&args),
+        "stats" => cmd_stats(&args),
+        "schemes" => cmd_schemes(&args),
+        "models" => cmd_models(&args),
+        "report" => cmd_report(&args),
+        "experiments" => cmd_experiments(&args),
+        "serve" => cmd_serve(&args),
+        "precompute" => cmd_precompute(&args),
+        "help" | "--help" | "-h" => args.finish().map(|()| println!("{USAGE}")),
         other => Err(format!("unknown command `{other}`\n{USAGE}")),
     };
     // Write the trace even when the command failed — a partial trace of
@@ -113,10 +111,6 @@ options:
 
 serve options:
   --addr HOST:PORT  bind address (default 127.0.0.1:7878; port 0 = ephemeral)
-  --shards N        run N server instances behind a consistent-hash router
-                    bound at --addr, each owning a cache partition keyed by
-                    trace key, >= 1 (default 1 = no router); instances bind
-                    ephemeral loopback ports, printed at startup
   --queue-depth N   admission-queue capacity, >= 1 (default 32); full -> 503
   --deadline-ms N   per-request deadline budget, >= 1 (default 30000)
   --max-requests-per-conn N
@@ -148,20 +142,66 @@ precompute options:
   --samples N       sample indices 0..N per dataset (default 1)
   --res/--seed/--memory/--jobs as above; defaults match the serve protocol's
 
-models: DnCNN, FFDNet, IRCNN, JointNet, VDSR";
+models: DnCNN, FFDNet, IRCNN, JointNet, VDSR
+unknown, repeated or value-less flags are errors";
 
-fn parse_flag(rest: &[String], flag: &str) -> Result<Option<String>, String> {
-    match rest.iter().position(|a| a == flag) {
-        None => Ok(None),
-        Some(i) => match rest.get(i + 1) {
-            Some(v) => Ok(Some(v.clone())),
-            None => Err(format!("flag {flag} needs a value")),
-        },
+/// A command's arguments, plus a record of which ones its parsers read.
+/// [`Args::finish`] rejects any `--flag` left unread, so a typo or a
+/// removed option fails instead of running at a default.
+struct Args {
+    cmd: String,
+    items: Vec<String>,
+    read: Vec<Cell<bool>>,
+}
+
+impl Args {
+    fn new(cmd: &str, items: &[String]) -> Args {
+        Args {
+            cmd: cmd.to_string(),
+            items: items.to_vec(),
+            read: items.iter().map(|_| Cell::new(false)).collect(),
+        }
+    }
+
+    /// Where `flag` appears, marked read; an error if it appears twice.
+    fn find(&self, flag: &str) -> Result<Option<usize>, String> {
+        let mut at = self.items.iter().enumerate().filter(|(_, a)| *a == flag).map(|(i, _)| i);
+        let first = at.next();
+        if at.next().is_some() {
+            return Err(format!("flag {flag} given more than once"));
+        }
+        if let Some(i) = first {
+            self.read[i].set(true);
+        }
+        Ok(first)
+    }
+
+    /// The value after `flag`, if the flag is present.
+    fn flag(&self, flag: &str) -> Result<Option<String>, String> {
+        let Some(i) = self.find(flag)? else { return Ok(None) };
+        let value = self.items.get(i + 1).ok_or_else(|| format!("flag {flag} needs a value"))?;
+        self.read[i + 1].set(true);
+        Ok(Some(value.clone()))
+    }
+
+    /// Whether the value-less `flag` is present.
+    fn switch(&self, flag: &str) -> Result<bool, String> {
+        Ok(self.find(flag)?.is_some())
+    }
+
+    /// Fails on the first `--flag` no parser has read. Call it after
+    /// parsing and before the command does any work.
+    fn finish(&self) -> Result<(), String> {
+        match self.items.iter().zip(&self.read).find(|(a, r)| !r.get() && a.starts_with("--")) {
+            Some((flag, _)) => Err(format!("unknown flag {flag} for `{}`", self.cmd)),
+            None => Ok(()),
+        }
     }
 }
 
-fn parse_model(rest: &[String]) -> Result<CiModel, String> {
-    let name = rest
+fn parse_model(args: &Args) -> Result<CiModel, String> {
+    let name = args
+        .items
         .iter()
         .find(|a| !a.starts_with("--") && CiModel::ALL.iter().any(|m| m.name().eq_ignore_ascii_case(a)))
         .ok_or_else(|| "missing or unknown model (DnCNN/FFDNet/IRCNN/JointNet/VDSR)".to_string())?;
@@ -171,27 +211,31 @@ fn parse_model(rest: &[String]) -> Result<CiModel, String> {
         .expect("checked above"))
 }
 
-fn parse_opts(rest: &[String]) -> Result<WorkloadOptions, String> {
-    let resolution = match parse_flag(rest, "--res")? {
+fn parse_opts(args: &Args) -> Result<WorkloadOptions, String> {
+    let resolution = match args.flag("--res")? {
         Some(v) => v.parse().map_err(|_| format!("bad --res {v}"))?,
         None => 64,
     };
-    let seed = match parse_flag(rest, "--seed")? {
+    let seed = match args.flag("--seed")? {
         Some(v) => v.parse().map_err(|_| format!("bad --seed {v}"))?,
         None => 1,
     };
     Ok(WorkloadOptions { resolution, samples_per_dataset: 1, seed })
 }
 
-fn parse_jobs(rest: &[String]) -> Result<Jobs, String> {
-    match parse_flag(rest, "--jobs")? {
+fn parse_jobs(args: &Args) -> Result<Jobs, String> {
+    match args.flag("--jobs")? {
         Some(v) => v.parse().map_err(|e| format!("bad --jobs: {e}")),
         None => Ok(Jobs::available()),
     }
 }
 
-fn parse_scheme(rest: &[String]) -> Result<SchemeChoice, String> {
-    Ok(match parse_flag(rest, "--scheme")?.as_deref() {
+fn parse_scheme(args: &Args) -> Result<SchemeChoice, String> {
+    scheme_named(args.flag("--scheme")?.as_deref())
+}
+
+fn scheme_named(name: Option<&str>) -> Result<SchemeChoice, String> {
+    Ok(match name {
         None | Some("DeltaD16") => SchemeChoice::Scheme(StorageScheme::delta_d(16)),
         Some("NoCompression") => SchemeChoice::Scheme(StorageScheme::NoCompression),
         Some("Profiled") => SchemeChoice::Profiled { quantile: 0.999 },
@@ -201,8 +245,8 @@ fn parse_scheme(rest: &[String]) -> Result<SchemeChoice, String> {
     })
 }
 
-fn parse_memory(rest: &[String]) -> Result<MemorySystem, String> {
-    let node = match parse_flag(rest, "--memory")?.as_deref() {
+fn parse_memory(args: &Args) -> Result<MemorySystem, String> {
+    let node = match args.flag("--memory")?.as_deref() {
         None | Some("DDR4-3200") => MemoryNode::Ddr4_3200,
         Some("DDR3-1600") => MemoryNode::Ddr3_1600,
         Some("LPDDR3-1600") => MemoryNode::Lpddr3_1600,
@@ -221,12 +265,13 @@ fn trace(model: CiModel, opts: &WorkloadOptions) -> std::sync::Arc<TraceBundle> 
     SweepCache::global().bundle(model, DatasetId::Hd33, 0, opts)
 }
 
-fn cmd_compare(rest: &[String]) -> Result<(), String> {
-    let model = parse_model(rest)?;
-    let opts = parse_opts(rest)?;
-    let scheme = parse_scheme(rest)?;
-    let memory = parse_memory(rest)?;
-    let jobs = parse_jobs(rest)?;
+fn cmd_compare(args: &Args) -> Result<(), String> {
+    let model = parse_model(args)?;
+    let opts = parse_opts(args)?;
+    let scheme = parse_scheme(args)?;
+    let memory = parse_memory(args)?;
+    let jobs = parse_jobs(args)?;
+    args.finish()?;
     println!("{model} at {0}x{0} (HD projections scale by pixels)\n", opts.resolution);
     let bundle = trace(model, &opts);
     let mut table = TextTable::new(vec![
@@ -260,11 +305,12 @@ fn cmd_compare(rest: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_sweep(rest: &[String]) -> Result<(), String> {
-    let model = parse_model(rest)?;
-    let opts = parse_opts(rest)?;
-    let scheme = parse_scheme(rest)?;
-    let jobs = parse_jobs(rest)?;
+fn cmd_sweep(args: &Args) -> Result<(), String> {
+    let model = parse_model(args)?;
+    let opts = parse_opts(args)?;
+    let scheme = parse_scheme(args)?;
+    let jobs = parse_jobs(args)?;
+    args.finish()?;
     println!("{model}: HD FPS, Diffy + {}\n", scheme.label());
     let bundle = trace(model, &opts);
     let ladder = fig18_memory_ladder();
@@ -299,9 +345,10 @@ fn cmd_sweep(rest: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_stats(rest: &[String]) -> Result<(), String> {
-    let model = parse_model(rest)?;
-    let opts = parse_opts(rest)?;
+fn cmd_stats(args: &Args) -> Result<(), String> {
+    let model = parse_model(args)?;
+    let opts = parse_opts(args)?;
+    args.finish()?;
     println!("{model}: per-layer value statistics\n");
     let bundle = trace(model, &opts);
     let mut table = TextTable::new(vec![
@@ -323,9 +370,10 @@ fn cmd_stats(rest: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_schemes(rest: &[String]) -> Result<(), String> {
-    let model = parse_model(rest)?;
-    let opts = parse_opts(rest)?;
+fn cmd_schemes(args: &Args) -> Result<(), String> {
+    let model = parse_model(args)?;
+    let opts = parse_opts(args)?;
+    args.finish()?;
     println!("{model}: imap footprint per storage scheme\n");
     let bundle = trace(model, &opts);
     let schemes = [
@@ -355,15 +403,17 @@ fn cmd_schemes(rest: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_report(rest: &[String]) -> Result<(), String> {
-    let workload = parse_opts(rest)?;
-    let jobs = parse_jobs(rest)?;
+fn cmd_report(args: &Args) -> Result<(), String> {
+    let workload = parse_opts(args)?;
+    let jobs = parse_jobs(args)?;
+    args.finish()?;
     let opts = diffy::core::reporting::ReportOptions { workload, models: [true; 5], jobs };
     print!("{}", diffy::core::reporting::render_report(&opts));
     Ok(())
 }
 
-fn cmd_models() -> Result<(), String> {
+fn cmd_models(args: &Args) -> Result<(), String> {
+    args.finish()?;
     let mut table = TextTable::new(vec!["model", "conv", "relu", "max fmap/layer", "weights"]);
     for m in CiModel::ALL {
         let s = m.spec();
@@ -379,101 +429,78 @@ fn cmd_models() -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_serve(rest: &[String]) -> Result<(), String> {
+fn cmd_serve(args: &Args) -> Result<(), String> {
     let mut config = diffy::serve::ServeConfig { handle_signals: true, ..Default::default() };
-    if let Some(addr) = parse_flag(rest, "--addr")? {
+    if let Some(addr) = args.flag("--addr")? {
         config.addr = addr;
     }
-    config.workers = parse_jobs(rest)?;
-    if let Some(v) = parse_flag(rest, "--queue-depth")? {
+    config.workers = parse_jobs(args)?;
+    if let Some(v) = args.flag("--queue-depth")? {
         config.queue_depth = v
             .parse()
             .ok()
             .filter(|&n: &usize| n >= 1)
             .ok_or_else(|| format!("bad --queue-depth {v} (want an integer >= 1)"))?;
     }
-    if let Some(v) = parse_flag(rest, "--deadline-ms")? {
+    if let Some(v) = args.flag("--deadline-ms")? {
         config.deadline_ms = v
             .parse()
             .ok()
             .filter(|&n: &u64| n >= 1)
             .ok_or_else(|| format!("bad --deadline-ms {v} (want an integer >= 1)"))?;
     }
-    if let Some(v) = parse_flag(rest, "--max-requests-per-conn")? {
+    if let Some(v) = args.flag("--max-requests-per-conn")? {
         config.max_requests_per_conn = v
             .parse()
             .ok()
             .filter(|&n: &u32| n >= 1)
             .ok_or_else(|| format!("bad --max-requests-per-conn {v} (want an integer >= 1)"))?;
     }
-    if let Some(v) = parse_flag(rest, "--idle-timeout-ms")? {
+    if let Some(v) = args.flag("--idle-timeout-ms")? {
         config.idle_timeout_ms = v
             .parse()
             .ok()
             .filter(|&n: &u64| n >= 1)
             .ok_or_else(|| format!("bad --idle-timeout-ms {v} (want an integer >= 1)"))?;
     }
-    if let Some(v) = parse_flag(rest, "--max-sessions")? {
+    if let Some(v) = args.flag("--max-sessions")? {
         config.max_sessions = v
             .parse()
             .ok()
             .filter(|&n: &usize| n >= 1)
             .ok_or_else(|| format!("bad --max-sessions {v} (want an integer >= 1)"))?;
     }
-    if let Some(v) = parse_flag(rest, "--session-idle-ms")? {
+    if let Some(v) = args.flag("--session-idle-ms")? {
         config.session_idle_ms = v
             .parse()
             .ok()
             .filter(|&n: &u64| n >= 1)
             .ok_or_else(|| format!("bad --session-idle-ms {v} (want an integer >= 1)"))?;
     }
-    config.artifact_dir = parse_flag(rest, "--artifact-dir")?;
-    config.warmup = rest.iter().any(|a| a == "--warmup");
+    config.artifact_dir = args.flag("--artifact-dir")?;
+    config.warmup = args.switch("--warmup")?;
     if config.warmup && config.artifact_dir.is_none() {
         return Err("--warmup requires --artifact-dir".to_string());
     }
-    config.trace_capture = parse_flag(rest, "--trace-out")?.is_some();
-    let shards: usize = match parse_flag(rest, "--shards")? {
-        None => 1,
-        Some(v) => v
-            .parse()
-            .ok()
-            .filter(|&n: &usize| n >= 1)
-            .ok_or_else(|| format!("bad --shards {v} (want an integer >= 1)"))?,
-    };
-    let endpoints = "POST /evaluate | POST /evaluate/batch | POST /session | POST /session/{id}/frame | DELETE /session/{id} | GET /metrics | GET /trace | GET /healthz | POST /shutdown";
-    if shards > 1 {
-        let sharded = diffy::serve::ShardedServer::bind(diffy::serve::ShardedConfig {
-            addr: config.addr.clone(),
-            shards,
-            base: config,
-            ..Default::default()
-        })
-        .map_err(|e| format!("bind failed: {e}"))?;
-        println!(
-            "diffy-serve router on http://{} fanning out to {shards} shards",
-            sharded.local_addr()
-        );
-        for (i, addr) in sharded.shard_addrs().iter().enumerate() {
-            println!("  shard {i}: http://{addr}");
-        }
-        println!("{endpoints}");
-        return sharded.run().map_err(|e| format!("server failed: {e}"));
-    }
+    config.trace_capture = args.flag("--trace-out")?.is_some();
+    args.finish()?;
     let server = diffy::serve::Server::bind(config).map_err(|e| format!("bind failed: {e}"))?;
     println!("diffy-serve listening on http://{}", server.local_addr());
-    println!("{endpoints}");
+    println!(
+        "POST /evaluate | POST /evaluate/batch | POST /session | POST /session/{{id}}/frame | \
+         DELETE /session/{{id}} | GET /metrics | GET /trace | GET /healthz | POST /shutdown"
+    );
     server.run().map_err(|e| format!("server failed: {e}"))
 }
 
 /// Splits a comma-separated list flag, resolving each name through
 /// `lookup`; `None` means the flag was absent.
 fn parse_list<T>(
-    rest: &[String],
+    args: &Args,
     flag: &str,
     lookup: impl Fn(&str) -> Result<T, String>,
 ) -> Result<Option<Vec<T>>, String> {
-    match parse_flag(rest, flag)? {
+    match args.flag(flag)? {
         None => Ok(None),
         Some(list) => list
             .split(',')
@@ -483,15 +510,15 @@ fn parse_list<T>(
     }
 }
 
-fn cmd_precompute(rest: &[String]) -> Result<(), String> {
+fn cmd_precompute(args: &Args) -> Result<(), String> {
     use diffy::core::artifact::DiskTier;
     use diffy::core::runner::datasets_for;
 
-    let out = parse_flag(rest, "--out")?.ok_or("precompute requires --out DIR")?;
-    let jobs = parse_jobs(rest)?;
-    let opts = parse_opts(rest)?;
-    let memory = parse_memory(rest)?;
-    let samples: usize = match parse_flag(rest, "--samples")? {
+    let out = args.flag("--out")?.ok_or("precompute requires --out DIR")?;
+    let jobs = parse_jobs(args)?;
+    let opts = parse_opts(args)?;
+    let memory = parse_memory(args)?;
+    let samples: usize = match args.flag("--samples")? {
         Some(v) => v
             .parse()
             .ok()
@@ -499,9 +526,9 @@ fn cmd_precompute(rest: &[String]) -> Result<(), String> {
             .ok_or_else(|| format!("bad --samples {v} (want an integer >= 1)"))?,
         None => 1,
     };
-    let models = match parse_flag(rest, "--models")?.as_deref() {
+    let models = match args.flag("--models")?.as_deref() {
         None | Some("all") => CiModel::ALL.to_vec(),
-        Some(_) => parse_list(rest, "--models", |name| {
+        Some(_) => parse_list(args, "--models", |name| {
             CiModel::ALL
                 .into_iter()
                 .find(|m| m.name().eq_ignore_ascii_case(name))
@@ -509,23 +536,22 @@ fn cmd_precompute(rest: &[String]) -> Result<(), String> {
         })?
         .expect("flag present"),
     };
-    let datasets = parse_list(rest, "--datasets", |name| {
+    let datasets = parse_list(args, "--datasets", |name| {
         DatasetId::ALL
             .into_iter()
             .find(|d| d.name().eq_ignore_ascii_case(name))
             .ok_or_else(|| format!("unknown dataset `{name}`"))
     })?;
-    let archs = parse_list(rest, "--archs", |name| {
+    let archs = parse_list(args, "--archs", |name| {
         [Architecture::Vaa, Architecture::Pra, Architecture::Diffy, Architecture::Scnn]
             .into_iter()
             .find(|a| a.name().eq_ignore_ascii_case(name))
             .ok_or_else(|| format!("unknown arch `{name}` (VAA/PRA/Diffy/SCNN)"))
     })?
     .unwrap_or_else(|| vec![Architecture::Diffy]);
-    let schemes = parse_list(rest, "--schemes", |name| {
-        parse_scheme(&["--scheme".to_string(), name.to_string()])
-    })?
-    .unwrap_or_else(|| vec![SchemeChoice::Scheme(StorageScheme::delta_d(16))]);
+    let schemes = parse_list(args, "--schemes", |name| scheme_named(Some(name)))?
+        .unwrap_or_else(|| vec![SchemeChoice::Scheme(StorageScheme::delta_d(16))]);
+    args.finish()?;
 
     // Enumerate the grid; resumability = skip keys whose artifact file
     // already exists (`contains` is an existence probe — a corrupt file
@@ -588,7 +614,8 @@ fn cmd_precompute(rest: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_experiments() -> Result<(), String> {
+fn cmd_experiments(args: &Args) -> Result<(), String> {
+    args.finish()?;
     let mut table = TextTable::new(vec!["paper artefact", "bench target"]);
     for e in ExperimentId::ALL {
         table.row(vec![

@@ -1,6 +1,7 @@
 //! Smoke tests of the `diffy` binary: exit codes, key output lines, the
-//! `--jobs` flag, and the hard error for a flag given without a value
-//! (which used to be silently treated as absent).
+//! `--jobs` flag, and the hard errors for a flag given without a value
+//! and for a flag the command does not read (both used to be silently
+//! ignored).
 
 use std::process::{Command, Output};
 
@@ -182,25 +183,26 @@ fn serve_rejects_bad_flag_values() {
 }
 
 #[test]
-fn serve_rejects_bad_shard_counts() {
-    let out = diffy(&["serve", "--shards", "0"]);
-    assert!(!out.status.success(), "--shards 0 must fail");
-    assert!(stderr(&out).contains("bad --shards 0"), "stderr: {}", stderr(&out));
+fn unknown_flags_are_rejected_by_name() {
+    // A flag the command does not read must fail by name rather than
+    // run at a default: a stale `serve --shards 2` must not quietly
+    // start one plain instance.
+    for args in [&["serve", "--shards", "2"][..], &["compare", "IRCNN", "--archz", "VAA"]] {
+        let out = diffy(args);
+        assert!(!out.status.success(), "{args:?} must fail");
+        let flag = args.iter().find(|a| a.starts_with("--")).unwrap();
+        assert!(
+            stderr(&out).contains(&format!("unknown flag {flag}")),
+            "stderr for {args:?}: {}",
+            stderr(&out)
+        );
+    }
 
-    let out = diffy(&["serve", "--shards", "many"]);
-    assert!(!out.status.success(), "non-numeric --shards must fail");
-    assert!(stderr(&out).contains("bad --shards many"), "stderr: {}", stderr(&out));
-
-    let out = diffy(&["serve", "--shards"]);
-    assert!(!out.status.success(), "--shards without value must fail");
-    assert!(stderr(&out).contains("--shards needs a value"), "stderr: {}", stderr(&out));
-}
-
-#[test]
-fn usage_mentions_shards() {
-    let out = diffy(&["help"]);
-    assert!(out.status.success());
-    assert!(stdout(&out).contains("--shards"), "usage must document --shards");
+    // The global --trace-out stays valid on every command.
+    let path = std::env::temp_dir().join(format!("diffy_cli_models_{}.json", std::process::id()));
+    let out = diffy(&["models", "--trace-out", path.to_str().unwrap()]);
+    let _ = std::fs::remove_file(&path);
+    assert!(out.status.success(), "stderr: {}", stderr(&out));
 }
 
 #[test]
