@@ -419,9 +419,15 @@ pub struct DiskTier {
     misses: AtomicU64,
     corrupt: AtomicU64,
     bytes: AtomicU64,
-    /// Per-process sequence for unique temp names; combined with the
-    /// pid, concurrent writers never collide on a temp file.
-    temp_seq: AtomicU64,
+}
+
+/// Process-wide sequence for unique temp names. Combined with the pid,
+/// no two writers collide on a temp file: not two threads, not two
+/// tiers over one directory, not two processes.
+static TEMP_SEQ: AtomicU64 = AtomicU64::new(0);
+
+fn next_temp_seq() -> u64 {
+    TEMP_SEQ.fetch_add(1, Ordering::Relaxed)
 }
 
 impl DiskTier {
@@ -431,7 +437,8 @@ impl DiskTier {
     pub fn open(dir: impl Into<PathBuf>) -> io::Result<Self> {
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
-        let probe = dir.join(format!(".writable-probe-{}.tmp", std::process::id()));
+        let probe =
+            dir.join(format!(".writable-probe-{}.{}.tmp", std::process::id(), next_temp_seq()));
         fs::write(&probe, b"probe")?;
         fs::remove_file(&probe)?;
         Ok(Self {
@@ -440,7 +447,6 @@ impl DiskTier {
             misses: AtomicU64::new(0),
             corrupt: AtomicU64::new(0),
             bytes: AtomicU64::new(0),
-            temp_seq: AtomicU64::new(0),
         })
     }
 
@@ -504,7 +510,7 @@ impl DiskTier {
             ".{:016x}.{}.{}.tmp",
             fnv1a64(key.as_bytes()),
             std::process::id(),
-            self.temp_seq.fetch_add(1, Ordering::Relaxed),
+            next_temp_seq(),
         ));
         fs::write(&tmp, doc.as_bytes())?;
         if let Err(e) = fs::rename(&tmp, &path) {
@@ -730,6 +736,28 @@ mod tests {
         assert_eq!(all.len(), 1);
         assert_eq!(all[0].0, "k1");
         assert_eq!(all[0].1, a);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn tiers_over_one_directory_never_share_a_temp_file() {
+        // Two tiers in one process, opened and storing the same key at
+        // once: every open succeeds and the published file is whole.
+        let dir = std::env::temp_dir().join(format!("diffy-art-shared-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let a = sample_artifact();
+        std::thread::scope(|scope| {
+            for _ in 0..4 {
+                scope.spawn(|| {
+                    for _ in 0..25 {
+                        let tier = DiskTier::open(&dir).expect("concurrent open");
+                        tier.store("k1", &a).expect("concurrent store");
+                    }
+                });
+            }
+        });
+        let tier = DiskTier::open(&dir).unwrap();
+        assert_eq!(tier.load("k1").unwrap(), Some(a));
         let _ = fs::remove_dir_all(&dir);
     }
 
