@@ -21,8 +21,8 @@
 //!   emitter behind the committed `BENCH_*.json` files and the strict
 //!   parser the evaluation service reads requests with.
 //! * [`parallel`] — the deterministic sweep engine: a std-only
-//!   scoped-thread job pool with order-stable results and a compute-once
-//!   keyed cache for weights and traces.
+//!   scoped-thread job pool with order-stable results and the one
+//!   compute-once keyed cache, unbounded or LRU-bounded.
 //! * [`summary`] — fixed-width table formatting shared by the bench
 //!   harness.
 //! * [`trace`] — span tracing across the evaluation pipeline: per-stage
@@ -60,9 +60,8 @@ pub mod tile;
 pub mod trace;
 
 pub use accelerator::{
-    evaluate_network, evaluate_network_batch, evaluate_network_with_artifacts,
-    evaluate_network_with_terms, network_scheme_traffic, EvalOptions, NetworkResult,
-    SchemeChoice, TermPlaneSource, TrafficSource,
+    evaluate_network, evaluate_network_with_artifacts, network_scheme_traffic, EvalOptions,
+    NetworkResult, SchemeChoice, TermPlaneSource, TrafficSource,
 };
 pub use artifact::{
     decode_artifact, result_key, ArtifactError, DiskStats, DiskTier, EvalArtifact,
@@ -71,8 +70,8 @@ pub use diffy_imaging::datasets::DatasetId;
 pub use diffy_models::CiModel;
 pub use dc::differential_conv2d;
 pub use json::{bench_json_string, json_escape, json_number, BenchRecord, JsonValue};
-pub use parallel::{run_jobs, BoundedCache, Jobs, KeyedCache};
+pub use parallel::{run_jobs, Cache, CacheCounters, Jobs};
 pub use runner::{
-    ci_trace_bundle, class_trace_bundle, ci_trace_bundles_par, sweep_par, video_frame_bundle,
-    CacheStats, SweepCache, SweepJob, TraceBundle, TraceKey, VideoSpec, WorkloadOptions,
+    ci_trace_bundle, class_trace_bundle, video_frame_bundle, CacheStats, EvalPoint, SweepCache,
+    TraceBundle, TraceKey, VideoSpec, WorkloadOptions,
 };

@@ -13,7 +13,7 @@
 //!    result's floating-point operations happen in the same order at any
 //!    parallelism, and results are bit-identical to the serial path.
 //!
-//! [`KeyedCache`] complements the pool: weights and traces are pure
+//! [`Cache`] complements the pool: weights and traces are pure
 //! functions of `(model, seed, …)` keys but expensive, so a sweep
 //! computes each exactly once even when many jobs race on the same key
 //! (the loser of the insertion race blocks on the winner's `OnceLock`
@@ -161,94 +161,19 @@ where
         .collect()
 }
 
-/// A compute-once cache from keys to shared immutable artifacts.
+/// A compute-once cache from keys to shared immutable artifacts, kept
+/// either whole ([`Cache::unbounded`], for sweeps: every key is
+/// revisited and nothing should ever be dropped) or to a least-recently-
+/// used capacity ([`Cache::bounded`], for a long-lived server that sees
+/// an unbounded key stream).
 ///
-/// `get_or_compute` runs `compute` at most once per key, even when many
-/// threads request the same key concurrently: the map hands out one
-/// [`OnceLock`] cell per key, and `OnceLock::get_or_init` serializes the
-/// computation while letting distinct keys proceed in parallel (the map
-/// lock is never held while computing).
-pub struct KeyedCache<K, V> {
-    map: Mutex<HashMap<K, Arc<OnceLock<Arc<V>>>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-impl<K: Eq + Hash + Clone, V> KeyedCache<K, V> {
-    /// An empty cache.
-    pub fn new() -> Self {
-        Self { map: Mutex::new(HashMap::new()), hits: AtomicU64::new(0), misses: AtomicU64::new(0) }
-    }
-
-    /// Returns the cached value for `key`, computing and inserting it on
-    /// first request. Concurrent requests for the same key block until
-    /// the first finishes and then share its result.
-    pub fn get_or_compute(&self, key: K, compute: impl FnOnce() -> V) -> Arc<V> {
-        let cell = {
-            let mut map = self.map.lock().expect("cache map poisoned");
-            Arc::clone(map.entry(key).or_default())
-        };
-        let mut computed = false;
-        let value = Arc::clone(cell.get_or_init(|| {
-            computed = true;
-            Arc::new(compute())
-        }));
-        // A "hit" is a request whose closure did not run — it found a
-        // finished or in-flight computation to share.
-        let counter = if computed { &self.misses } else { &self.hits };
-        counter.fetch_add(1, Ordering::Relaxed);
-        value
-    }
-
-    /// Requests whose value was already cached (or in flight) when they
-    /// arrived.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Requests that had to run the computation themselves.
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    /// Returns the cached value for `key` without computing, if present.
-    pub fn get(&self, key: &K) -> Option<Arc<V>> {
-        let map = self.map.lock().expect("cache map poisoned");
-        map.get(key).and_then(|cell| cell.get().cloned())
-    }
-
-    /// Number of keys with a *completed* value.
-    pub fn len(&self) -> usize {
-        let map = self.map.lock().expect("cache map poisoned");
-        map.values().filter(|c| c.get().is_some()).count()
-    }
-
-    /// Whether no completed value is cached.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Drops every cached entry.
-    pub fn clear(&self) {
-        self.map.lock().expect("cache map poisoned").clear();
-    }
-}
-
-impl<K: Eq + Hash + Clone, V> Default for KeyedCache<K, V> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// A size-bounded, clearable sibling of [`KeyedCache`] for long-lived
-/// processes (the evaluation service).
-///
-/// [`KeyedCache`] is append-only — exactly right for a sweep, a leak in
-/// a server that sees an unbounded key stream. `BoundedCache` holds at
-/// most `capacity` entries and evicts the least-recently-used one to
-/// admit a new key, counting evictions. Same sharing semantics per key:
-/// concurrent requests for a live key compute once and share the result.
-/// An evicted key is simply recomputed on next request — values are pure
+/// `get_or_compute` runs `compute` at most once per resident key, even
+/// when many threads request the same key concurrently: the map hands
+/// out one [`OnceLock`] cell per key, and `OnceLock::get_or_init`
+/// serializes the computation while letting distinct keys proceed in
+/// parallel (the map lock is never held while computing). Admitting a
+/// new key to a full cache evicts the least-recently-used one; an
+/// evicted key is simply recomputed on next request — values are pure
 /// functions of their keys, so eviction affects cost, never results.
 ///
 /// Request accounting distinguishes three outcomes: a **miss** ran the
@@ -257,8 +182,8 @@ impl<K: Eq + Hash + Clone, V> Default for KeyedCache<K, V> {
 /// same key was still in flight — it paid (most of) the compute latency
 /// even though its own closure never ran, so lumping it in with hits
 /// would overstate how well the cache absorbs load.
-pub struct BoundedCache<K, V> {
-    inner: Mutex<BoundedInner<K, V>>,
+pub struct Cache<K, V> {
+    inner: Mutex<CacheInner<K, V>>,
     capacity: usize,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -266,8 +191,8 @@ pub struct BoundedCache<K, V> {
     evictions: AtomicU64,
 }
 
-struct BoundedInner<K, V> {
-    map: HashMap<K, BoundedEntry<V>>,
+struct CacheInner<K, V> {
+    map: HashMap<K, CacheEntry<V>>,
     /// LRU index: `last_used` tick → key. The access clock advances on
     /// every request, so ticks are unique and this is a total order over
     /// residents; the first entry is always the least-recently-used key,
@@ -278,25 +203,43 @@ struct BoundedInner<K, V> {
     tick: u64,
 }
 
-struct BoundedEntry<V> {
+struct CacheEntry<V> {
     cell: Arc<OnceLock<Arc<V>>>,
     last_used: u64,
 }
 
-impl<K: Eq + Hash + Clone, V> BoundedCache<K, V> {
+/// A point-in-time snapshot of one [`Cache`]'s request counters and
+/// residency.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct CacheCounters {
+    /// Requests served from a resident *completed* value.
+    pub hits: u64,
+    /// Requests that ran the computation.
+    pub misses: u64,
+    /// Requests that arrived while another thread's computation for the
+    /// same key was in flight and shared its result (paying the wait).
+    pub shared: u64,
+    /// Entries evicted to make room so far.
+    pub evictions: u64,
+    /// Resident keys with a *completed* value.
+    pub resident: usize,
+}
+
+impl<K: Eq + Hash + Clone, V> Cache<K, V> {
+    /// An empty cache that never evicts.
+    pub fn unbounded() -> Self {
+        Self::bounded(usize::MAX)
+    }
+
     /// An empty cache holding at most `capacity` entries.
     ///
     /// # Panics
     ///
     /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize) -> Self {
+    pub fn bounded(capacity: usize) -> Self {
         assert!(capacity > 0, "bounded cache needs capacity of at least 1");
         Self {
-            inner: Mutex::new(BoundedInner {
-                map: HashMap::new(),
-                order: BTreeMap::new(),
-                tick: 0,
-            }),
+            inner: Mutex::new(CacheInner { map: HashMap::new(), order: BTreeMap::new(), tick: 0 }),
             capacity,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -308,43 +251,12 @@ impl<K: Eq + Hash + Clone, V> BoundedCache<K, V> {
     /// Returns the cached value for `key`, computing it if absent and
     /// evicting the least-recently-used entry if the cache is full.
     ///
-    /// The map lock is never held while computing, so distinct keys
-    /// proceed in parallel; same-key requests share one computation while
-    /// the key stays resident. A waiter holds the value cell by `Arc`, so
-    /// evicting an in-flight key never cancels or corrupts its
-    /// computation — the evictee just becomes invisible to new requests.
+    /// Same-key requests share one computation while the key stays
+    /// resident. A waiter holds the value cell by `Arc`, so evicting an
+    /// in-flight key never cancels or corrupts its computation — the
+    /// evictee just becomes invisible to new requests.
     pub fn get_or_compute(&self, key: K, compute: impl FnOnce() -> V) -> Arc<V> {
-        // `complete` is sampled under the map lock, so the hit/shared
-        // classification is fixed at acquisition time: a request that
-        // finds an in-flight cell counts as `shared` even if the
-        // computation happens to finish before it blocks.
-        let (cell, complete) = {
-            let mut inner = self.inner.lock().expect("cache map poisoned");
-            inner.tick += 1;
-            let now = inner.tick;
-            if let Some(entry) = inner.map.get_mut(&key) {
-                let prev = entry.last_used;
-                entry.last_used = now;
-                let cell = Arc::clone(&entry.cell);
-                let complete = cell.get().is_some();
-                inner.order.remove(&prev);
-                inner.order.insert(now, key);
-                (cell, complete)
-            } else {
-                if inner.map.len() >= self.capacity {
-                    let (_, lru) =
-                        inner.order.pop_first().expect("order index tracks the map");
-                    inner.map.remove(&lru);
-                    self.evictions.fetch_add(1, Ordering::Relaxed);
-                }
-                let cell = Arc::new(OnceLock::new());
-                inner
-                    .map
-                    .insert(key.clone(), BoundedEntry { cell: Arc::clone(&cell), last_used: now });
-                inner.order.insert(now, key);
-                (cell, false)
-            }
-        };
+        let (cell, complete) = self.cell(key);
         let mut computed = false;
         let value = Arc::clone(cell.get_or_init(|| {
             computed = true;
@@ -361,41 +273,57 @@ impl<K: Eq + Hash + Clone, V> BoundedCache<K, V> {
         value
     }
 
-    /// Number of resident keys with a *completed* value.
-    pub fn len(&self) -> usize {
-        let inner = self.inner.lock().expect("cache map poisoned");
-        inner.map.values().filter(|e| e.cell.get().is_some()).count()
+    /// Makes `value` resident under `key` without counting a request —
+    /// for warming the cache ahead of traffic. A key that already holds
+    /// a value keeps it (values are pure functions of their keys).
+    pub fn insert(&self, key: K, value: V) {
+        let (cell, _) = self.cell(key);
+        let _ = cell.set(Arc::new(value));
     }
 
-    /// Whether no completed value is resident.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+    /// The value cell for `key` — touched as most recently used, or
+    /// admitted (evicting the LRU entry at capacity) — and whether it
+    /// already held a completed value. `complete` is sampled under the
+    /// map lock, so the hit/shared classification is fixed at
+    /// acquisition time: a request that finds an in-flight cell counts
+    /// as `shared` even if the computation finishes before it blocks.
+    fn cell(&self, key: K) -> (Arc<OnceLock<Arc<V>>>, bool) {
+        let mut inner = self.inner.lock().expect("cache map poisoned");
+        inner.tick += 1;
+        let now = inner.tick;
+        if let Some(entry) = inner.map.get_mut(&key) {
+            let prev = entry.last_used;
+            entry.last_used = now;
+            let cell = Arc::clone(&entry.cell);
+            let complete = cell.get().is_some();
+            inner.order.remove(&prev);
+            inner.order.insert(now, key);
+            return (cell, complete);
+        }
+        if inner.map.len() >= self.capacity {
+            let (_, lru) = inner.order.pop_first().expect("order index tracks the map");
+            inner.map.remove(&lru);
+            self.evictions.fetch_add(1, Ordering::Relaxed);
+        }
+        let cell = Arc::new(OnceLock::new());
+        inner.map.insert(key.clone(), CacheEntry { cell: Arc::clone(&cell), last_used: now });
+        inner.order.insert(now, key);
+        (cell, false)
     }
 
-    /// The maximum number of resident entries.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Requests served from a resident *completed* value.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Requests that ran the computation.
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    /// Requests that arrived while another thread's computation for the
-    /// same key was in flight and shared its result (paying the wait).
-    pub fn shared(&self) -> u64 {
-        self.shared.load(Ordering::Relaxed)
-    }
-
-    /// Entries evicted to make room so far.
-    pub fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
+    /// The request counters and the number of resident completed values.
+    pub fn counters(&self) -> CacheCounters {
+        let resident = {
+            let inner = self.inner.lock().expect("cache map poisoned");
+            inner.map.values().filter(|e| e.cell.get().is_some()).count()
+        };
+        CacheCounters {
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+            shared: self.shared.load(Ordering::Relaxed),
+            evictions: self.evictions.load(Ordering::Relaxed),
+            resident,
+        }
     }
 
     /// Drops every resident entry (counters are preserved).
@@ -403,6 +331,12 @@ impl<K: Eq + Hash + Clone, V> BoundedCache<K, V> {
         let mut inner = self.inner.lock().expect("cache map poisoned");
         inner.map.clear();
         inner.order.clear();
+    }
+}
+
+impl<K: Eq + Hash + Clone, V> Default for Cache<K, V> {
+    fn default() -> Self {
+        Self::unbounded()
     }
 }
 
@@ -440,9 +374,14 @@ mod tests {
         assert!(r.is_err());
     }
 
+    /// One cache per capacity regime, for tests whose case holds in both.
+    fn both_capacities<V>() -> [(&'static str, Cache<u32, V>); 2] {
+        [("unbounded", Cache::unbounded()), ("bounded", Cache::bounded(4))]
+    }
+
     #[test]
     fn cache_computes_each_key_once() {
-        let cache: KeyedCache<u32, u32> = KeyedCache::new();
+        let cache: Cache<u32, u32> = Cache::unbounded();
         let calls = AtomicU32::new(0);
         for _ in 0..5 {
             let v = cache.get_or_compute(3, || {
@@ -451,56 +390,28 @@ mod tests {
             });
             assert_eq!(*v, 30);
         }
-        assert_eq!(calls.load(Ordering::SeqCst), 1);
-        assert_eq!(cache.len(), 1);
-        assert_eq!(*cache.get(&3).unwrap(), 30);
-        assert!(cache.get(&4).is_none());
-    }
-
-    #[test]
-    fn concurrent_same_key_requests_share_one_computation() {
-        let cache: KeyedCache<u32, u64> = KeyedCache::new();
-        let calls = AtomicU32::new(0);
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..8)
-                .map(|_| {
-                    s.spawn(|| {
-                        *cache.get_or_compute(9, || {
-                            calls.fetch_add(1, Ordering::SeqCst);
-                            // Widen the race window.
-                            std::thread::sleep(std::time::Duration::from_millis(20));
-                            900
-                        })
-                    })
-                })
-                .collect();
-            for h in handles {
-                assert_eq!(h.join().unwrap(), 900);
-            }
-        });
-        assert_eq!(calls.load(Ordering::SeqCst), 1);
-    }
-
-    #[test]
-    fn keyed_cache_counts_hits_and_misses() {
-        let cache: KeyedCache<u32, u32> = KeyedCache::new();
-        cache.get_or_compute(1, || 10);
-        cache.get_or_compute(1, || 10);
         cache.get_or_compute(2, || 20);
-        assert_eq!(cache.misses(), 2);
-        assert_eq!(cache.hits(), 1);
+        assert_eq!(calls.load(Ordering::SeqCst), 1);
+        // Warm-up inserts are resident but are not request traffic.
+        cache.insert(4, 40);
+        cache.insert(3, 31);
+        let want = CacheCounters { hits: 4, misses: 2, shared: 0, evictions: 0, resident: 3 };
+        assert_eq!(cache.counters(), want);
+        assert_eq!(*cache.get_or_compute(4, || unreachable!("inserted")), 40);
+        assert_eq!(*cache.get_or_compute(3, || unreachable!("resident")), 30, "insert keeps");
+        assert_eq!(cache.counters().hits, 6);
     }
 
     #[test]
     fn bounded_cache_evicts_least_recently_used() {
-        let cache: BoundedCache<u32, u32> = BoundedCache::new(2);
+        let cache: Cache<u32, u32> = Cache::bounded(2);
         cache.get_or_compute(1, || 10);
         cache.get_or_compute(2, || 20);
         // Touch 1 so 2 is the LRU, then admit 3.
         cache.get_or_compute(1, || unreachable!("resident"));
         cache.get_or_compute(3, || 30);
-        assert_eq!(cache.evictions(), 1);
-        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.counters().evictions, 1);
+        assert_eq!(cache.counters().resident, 2);
         // 2 was evicted and recomputes; 1 is still resident.
         let recomputed = std::cell::Cell::new(false);
         cache.get_or_compute(2, || {
@@ -508,16 +419,16 @@ mod tests {
             20
         });
         assert!(recomputed.get(), "evicted key must recompute");
-        assert_eq!(cache.hits(), 1);
-        assert_eq!(cache.misses(), 4);
-        assert_eq!(cache.shared(), 0, "no concurrency here, nothing shared");
+        let c = cache.counters();
+        assert_eq!((c.hits, c.misses), (1, 4));
+        assert_eq!(c.shared, 0, "no concurrency here, nothing shared");
     }
 
     #[test]
     fn bounded_cache_eviction_order_pins_strict_lru() {
         // Pins the eviction policy: the victim is the least recently
         // *used* key (touches refresh recency), not the oldest insert.
-        let cache: BoundedCache<u32, u32> = BoundedCache::new(3);
+        let cache: Cache<u32, u32> = Cache::bounded(3);
         for k in [1, 2, 3] {
             cache.get_or_compute(k, || k);
         }
@@ -526,7 +437,7 @@ mod tests {
         cache.get_or_compute(2, || unreachable!("resident"));
         // Admitting 4 must evict 3.
         cache.get_or_compute(4, || 4);
-        assert_eq!(cache.evictions(), 1);
+        assert_eq!(cache.counters().evictions, 1);
         cache.get_or_compute(1, || unreachable!("1 survived the eviction"));
         cache.get_or_compute(2, || unreachable!("2 survived the eviction"));
         let recomputed = std::cell::Cell::new(false);
@@ -535,91 +446,95 @@ mod tests {
             3
         });
         assert!(recomputed.get(), "3 was the LRU victim");
-        assert_eq!(cache.evictions(), 2, "re-admitting 3 evicts again at capacity");
+        assert_eq!(cache.counters().evictions, 2, "re-admitting 3 evicts again at capacity");
     }
 
     #[test]
-    fn bounded_cache_counts_in_flight_waiters_as_shared() {
-        // Pins the accounting split: a request that finds a *completed*
-        // value is a hit; one that arrives while the computation is still
-        // in flight is `shared` (it waited the compute time, so it must
-        // not inflate the hit rate). Classification happens under the map
-        // lock, so releasing the computation afterwards cannot flip it.
+    fn cache_counts_in_flight_waiters_as_shared() {
+        // Pins the accounting split at both capacities: a request that
+        // finds a *completed* value is a hit; one that arrives while the
+        // computation is still in flight is `shared` (it waited the
+        // compute time, so it must not inflate the hit rate).
+        // Classification happens under the map lock, so releasing the
+        // computation afterwards cannot flip it.
         use std::sync::mpsc;
-        let cache: BoundedCache<u32, u32> = BoundedCache::new(4);
-        let (entered_tx, entered_rx) = mpsc::channel();
-        let (release_tx, release_rx) = mpsc::channel();
-        let cache = &cache;
-        std::thread::scope(|s| {
-            s.spawn(move || {
-                cache.get_or_compute(1, || {
-                    entered_tx.send(()).unwrap();
-                    release_rx.recv().unwrap();
-                    10
+        for (label, cache) in both_capacities::<u32>() {
+            let (entered_tx, entered_rx) = mpsc::channel();
+            let (release_tx, release_rx) = mpsc::channel();
+            let cache = &cache;
+            std::thread::scope(|s| {
+                s.spawn(move || {
+                    cache.get_or_compute(1, || {
+                        entered_tx.send(()).unwrap();
+                        release_rx.recv().unwrap();
+                        10
+                    });
                 });
+                entered_rx.recv().unwrap();
+                // The computation is now provably in flight.
+                let waiter = s.spawn(|| *cache.get_or_compute(1, || unreachable!("in flight")));
+                // Give the waiter time to classify itself before releasing.
+                std::thread::sleep(std::time::Duration::from_millis(20));
+                release_tx.send(()).unwrap();
+                assert_eq!(waiter.join().unwrap(), 10);
             });
-            entered_rx.recv().unwrap();
-            // The computation is now provably in flight.
-            let waiter = s.spawn(|| *cache.get_or_compute(1, || unreachable!("in flight")));
-            // Give the waiter time to classify itself before releasing.
-            std::thread::sleep(std::time::Duration::from_millis(20));
-            release_tx.send(()).unwrap();
-            assert_eq!(waiter.join().unwrap(), 10);
-        });
-        assert_eq!(cache.misses(), 1);
-        assert_eq!(cache.shared(), 1, "in-flight waiter is shared, not a hit");
-        assert_eq!(cache.hits(), 0);
-        cache.get_or_compute(1, || unreachable!("resident"));
-        assert_eq!(cache.hits(), 1, "completed-value lookups stay hits");
+            let c = cache.counters();
+            assert_eq!((c.hits, c.misses, c.shared), (0, 1, 1), "{label}: waiter is shared");
+            cache.get_or_compute(1, || unreachable!("resident"));
+            assert_eq!(cache.counters().hits, 1, "{label}: completed lookups stay hits");
+        }
     }
 
     #[test]
     fn bounded_cache_clear_and_counters() {
-        let cache: BoundedCache<u32, u32> = BoundedCache::new(8);
+        let cache: Cache<u32, u32> = Cache::bounded(8);
         for k in 0..5 {
             cache.get_or_compute(k, || k * 10);
         }
-        assert_eq!(cache.len(), 5);
+        assert_eq!(cache.counters().resident, 5);
         cache.clear();
-        assert!(cache.is_empty());
-        assert_eq!(cache.misses(), 5, "counters survive clear");
+        assert_eq!(cache.counters().resident, 0);
+        assert_eq!(cache.counters().misses, 5, "counters survive clear");
         cache.get_or_compute(0, || 0);
-        assert_eq!(cache.misses(), 6, "cleared keys recompute");
-        assert_eq!(cache.capacity(), 8);
+        assert_eq!(cache.counters().misses, 6, "cleared keys recompute");
     }
 
     #[test]
-    fn bounded_cache_concurrent_same_key_shares_one_computation() {
-        let cache: BoundedCache<u32, u64> = BoundedCache::new(4);
-        let calls = AtomicU32::new(0);
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..8)
-                .map(|_| {
-                    s.spawn(|| {
-                        *cache.get_or_compute(9, || {
-                            calls.fetch_add(1, Ordering::SeqCst);
-                            std::thread::sleep(std::time::Duration::from_millis(20));
-                            900
+    fn concurrent_same_key_requests_share_one_computation() {
+        for (label, cache) in both_capacities::<u64>() {
+            let calls = AtomicU32::new(0);
+            std::thread::scope(|s| {
+                let handles: Vec<_> = (0..8)
+                    .map(|_| {
+                        s.spawn(|| {
+                            *cache.get_or_compute(9, || {
+                                calls.fetch_add(1, Ordering::SeqCst);
+                                // Widen the race window.
+                                std::thread::sleep(std::time::Duration::from_millis(20));
+                                900
+                            })
                         })
                     })
-                })
-                .collect();
-            for h in handles {
-                assert_eq!(h.join().unwrap(), 900);
-            }
-        });
-        assert_eq!(calls.load(Ordering::SeqCst), 1);
-        assert_eq!(cache.misses(), 1);
-        // The 7 non-computing threads each either found the value already
-        // complete (hit) or waited on the in-flight computation (shared) —
-        // the split depends on scheduling, the sum does not.
-        assert_eq!(cache.hits() + cache.shared(), 7);
+                    .collect();
+                for h in handles {
+                    assert_eq!(h.join().unwrap(), 900);
+                }
+            });
+            assert_eq!(calls.load(Ordering::SeqCst), 1, "{label}");
+            let c = cache.counters();
+            assert_eq!(c.misses, 1, "{label}");
+            // The 7 non-computing threads each either found the value
+            // already complete (hit) or waited on the in-flight
+            // computation (shared) — the split depends on scheduling,
+            // the sum does not.
+            assert_eq!(c.hits + c.shared, 7, "{label}");
+        }
     }
 
     #[test]
     #[should_panic(expected = "capacity of at least 1")]
     fn bounded_cache_rejects_zero_capacity() {
-        let _ = BoundedCache::<u32, u32>::new(0);
+        let _ = Cache::<u32, u32>::bounded(0);
     }
 
     #[test]

@@ -5,9 +5,9 @@
 //! and compression) — without going through the bench harness. Used by
 //! the CLI's `report` subcommand and handy for CI artifacts.
 
-use crate::accelerator::{evaluate_network_batch, EvalOptions, SchemeChoice};
+use crate::accelerator::{EvalOptions, SchemeChoice};
 use crate::parallel::{run_jobs, Jobs};
-use crate::runner::{SweepCache, TraceBundle, WorkloadOptions};
+use crate::runner::{EvalPoint, SweepCache, TraceBundle, WorkloadOptions};
 use crate::summary::fmt_bytes;
 use diffy_encoding::StorageScheme;
 use diffy_imaging::datasets::DatasetId;
@@ -81,13 +81,19 @@ pub fn render_report(opts: &ReportOptions) -> String {
 
     const ARCHS: [Architecture; 3] =
         [Architecture::Vaa, Architecture::Pra, Architecture::Diffy];
-    let eval_jobs: Vec<_> = bundles
+    let points: Vec<EvalPoint> = bundles
         .iter()
-        .flat_map(|(_, bundle)| {
-            ARCHS.map(|arch| (&bundle.trace, EvalOptions::new(arch, scheme)))
+        .flat_map(|&(model, _)| {
+            ARCHS.map(|arch| EvalPoint {
+                model,
+                dataset: DatasetId::Hd33,
+                sample: 0,
+                workload: w,
+                eval: EvalOptions::new(arch, scheme),
+            })
         })
         .collect();
-    let results = evaluate_network_batch(&eval_jobs, opts.jobs);
+    let results = cache.evaluate_points(&points, opts.jobs);
 
     for ((model, bundle), arch_results) in bundles.iter().zip(results.chunks_exact(3)) {
         let (vaa, pra, diffy) = (&arch_results[0], &arch_results[1], &arch_results[2]);

@@ -11,7 +11,7 @@ use crate::accelerator::{
     NetworkResult, SchemeChoice,
 };
 use crate::artifact::{result_key, DiskStats, DiskTier, EvalArtifact};
-use crate::parallel::{run_jobs, BoundedCache, Jobs, KeyedCache};
+use crate::parallel::{run_jobs, Cache, CacheCounters, Jobs};
 use diffy_encoding::StorageScheme;
 use diffy_imaging::datasets::DatasetId;
 use diffy_memsys::traffic::LayerTraffic;
@@ -23,6 +23,7 @@ use diffy_sim::{
     TemporalMode, ValueMode,
 };
 use diffy_tensor::Quantizer;
+use std::hash::Hash;
 use std::sync::{Arc, OnceLock};
 
 /// Full-HD pixel count (1920 × 1080), the paper's headline resolution.
@@ -293,7 +294,7 @@ impl From<SchemeChoice> for SchemeKey {
 /// values are interchangeable with fresh regeneration — the cache only
 /// removes the déjà vu of recomputing them for every consumer. Safe to
 /// share across threads; concurrent requests for the same key compute it
-/// once (see [`KeyedCache`]).
+/// once (see [`Cache`]).
 ///
 /// With [`SweepCache::with_disk`] the cache becomes *tiered*: completed
 /// evaluations ([`EvalArtifact`]s, keyed by the canonical
@@ -302,13 +303,13 @@ impl From<SchemeChoice> for SchemeKey {
 /// next cold start finds them. See [`SweepCache::evaluate_keyed`].
 #[derive(Default)]
 pub struct SweepCache {
-    weights: Store<(CiModel, u64), NetworkWeights>,
-    traces: Store<TraceKey, TraceBundle>,
-    term_planes: Store<(TraceKey, usize), PaddedTerms>,
-    traffic: Store<(TraceKey, SchemeKey), Vec<LayerTraffic>>,
-    video_frames: Store<(VideoSpec, usize), TraceBundle>,
-    video_cycles: Store<(VideoSpec, usize, VideoEval), NetworkCycles>,
-    results: Store<String, EvalArtifact>,
+    weights: Cache<(CiModel, u64), NetworkWeights>,
+    traces: Cache<TraceKey, TraceBundle>,
+    term_planes: Cache<(TraceKey, usize), PaddedTerms>,
+    traffic: Cache<(TraceKey, SchemeKey), Vec<LayerTraffic>>,
+    video_frames: Cache<(VideoSpec, usize), TraceBundle>,
+    video_cycles: Cache<(VideoSpec, usize, VideoEval), NetworkCycles>,
+    results: Cache<String, EvalArtifact>,
     disk: Option<DiskTier>,
 }
 
@@ -321,84 +322,35 @@ enum VideoEval {
     Temporal(TemporalMode),
 }
 
-/// One artifact store of a [`SweepCache`]: either the append-only
-/// compute-once cache (sweeps — every key is revisited, nothing should
-/// ever be dropped) or the size-bounded LRU variant (the long-lived
-/// evaluation service — the key stream is unbounded).
-enum Store<K, V> {
-    Unbounded(KeyedCache<K, V>),
-    Bounded(BoundedCache<K, V>),
+/// `store.get_or_compute`, marking a request served without building —
+/// a hit, or a wait on another thread's in-flight build — with a
+/// `cache_hit` trace instant labelled `kind`.
+fn get_or_build<K: Eq + Hash + Clone, V>(
+    store: &Cache<K, V>,
+    kind: &'static str,
+    key: K,
+    build: impl FnOnce() -> V,
+) -> Arc<V> {
+    let mut built = false;
+    let v = store.get_or_compute(key, || {
+        built = true;
+        build()
+    });
+    if !built {
+        crate::trace::instant("cache_hit", || vec![("kind", kind.into())]);
+    }
+    v
 }
 
-impl<K: Eq + std::hash::Hash + Clone, V> Store<K, V> {
-    fn get_or_compute(&self, key: K, compute: impl FnOnce() -> V) -> Arc<V> {
-        match self {
-            Store::Unbounded(c) => c.get_or_compute(key, compute),
-            Store::Bounded(c) => c.get_or_compute(key, compute),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            Store::Unbounded(c) => c.len(),
-            Store::Bounded(c) => c.len(),
-        }
-    }
-
-    fn hits(&self) -> u64 {
-        match self {
-            Store::Unbounded(c) => c.hits(),
-            Store::Bounded(c) => c.hits(),
-        }
-    }
-
-    fn misses(&self) -> u64 {
-        match self {
-            Store::Unbounded(c) => c.misses(),
-            Store::Bounded(c) => c.misses(),
-        }
-    }
-
-    fn evictions(&self) -> u64 {
-        match self {
-            Store::Unbounded(_) => 0,
-            Store::Bounded(c) => c.evictions(),
-        }
-    }
-
-    /// Requests that waited on another thread's in-flight computation.
-    /// The unbounded cache counts these as hits (documented there), so
-    /// only the bounded variant reports them separately.
-    fn shared(&self) -> u64 {
-        match self {
-            Store::Unbounded(_) => 0,
-            Store::Bounded(c) => c.shared(),
-        }
-    }
-
-    fn clear(&self) {
-        match self {
-            Store::Unbounded(c) => c.clear(),
-            Store::Bounded(c) => c.clear(),
-        }
-    }
-}
-
-impl<K: Eq + std::hash::Hash + Clone, V> Default for Store<K, V> {
-    fn default() -> Self {
-        Store::Unbounded(KeyedCache::new())
-    }
-}
-
-/// A point-in-time summary of a [`SweepCache`]'s counters, aggregated
-/// over its weight, trace, term-plane and traffic stores.
+/// A point-in-time summary of a [`SweepCache`]'s counters: request
+/// counts summed over all seven stores, and each store's residency.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
-    /// Requests served from a cached (or in-flight) artifact.
+    /// Requests served from a completed cached artifact.
     pub hits: u64,
     /// Requests that computed their artifact.
     pub misses: u64,
-    /// Artifacts evicted by the bounded stores (0 for unbounded caches).
+    /// Artifacts evicted to make room (always 0 for an unbounded cache).
     pub evictions: u64,
     /// Distinct weight sets currently materialized.
     pub cached_weights: usize,
@@ -414,7 +366,7 @@ pub struct CacheStats {
     /// currently materialized.
     pub cached_video_cycles: usize,
     /// Requests that waited on another thread's in-flight computation
-    /// (bounded stores only — neither a clean hit nor a fresh miss).
+    /// (neither a clean hit nor a fresh miss).
     pub shared: u64,
     /// Distinct complete evaluation results currently materialized in
     /// the memory tier.
@@ -442,20 +394,20 @@ impl SweepCache {
     /// Panics if either capacity is zero.
     pub fn bounded(traces: usize, term_planes: usize) -> Self {
         Self {
-            weights: Store::Bounded(BoundedCache::new(traces)),
-            traces: Store::Bounded(BoundedCache::new(traces)),
-            term_planes: Store::Bounded(BoundedCache::new(term_planes)),
+            weights: Cache::bounded(traces),
+            traces: Cache::bounded(traces),
+            term_planes: Cache::bounded(term_planes),
             // Traffic vectors are small (a few structs per layer); keep
             // several schemes' worth per resident trace.
-            traffic: Store::Bounded(BoundedCache::new(traces.saturating_mul(8))),
+            traffic: Cache::bounded(traces.saturating_mul(8)),
             // Video frame bundles are trace-sized; cycle results are a
             // handful of counters per layer.
-            video_frames: Store::Bounded(BoundedCache::new(traces)),
-            video_cycles: Store::Bounded(BoundedCache::new(traces.saturating_mul(8))),
+            video_frames: Cache::bounded(traces),
+            video_cycles: Cache::bounded(traces.saturating_mul(8)),
             // Complete results are small (a few counters per layer);
             // keep several schemes/architectures' worth per resident
             // trace.
-            results: Store::Bounded(BoundedCache::new(traces.saturating_mul(8))),
+            results: Cache::bounded(traces.saturating_mul(8)),
             disk: None,
         }
     }
@@ -476,16 +428,16 @@ impl SweepCache {
 
     /// Loads every valid artifact from the disk tier into the memory
     /// result tier (for `serve --warmup`); invalid files are counted
-    /// corrupt by the tier and skipped. Returns the number of results
+    /// corrupt by the tier and skipped. Warm-up is not request traffic,
+    /// so no hit or miss is counted. Returns the number of results
     /// warmed; 0 when no tier is attached or the directory is
     /// unreadable.
     pub fn warm_from_disk(&self) -> usize {
         let Some(disk) = &self.disk else { return 0 };
         let Ok(artifacts) = disk.load_all() else { return 0 };
-        let mut warmed = 0;
+        let warmed = artifacts.len();
         for (key, artifact) in artifacts {
-            self.results.get_or_compute(key, || artifact);
-            warmed += 1;
+            self.results.insert(key, artifact);
         }
         warmed
     }
@@ -498,15 +450,7 @@ impl SweepCache {
 
     /// Weights for `(model, seed)`, computed once.
     pub fn weights(&self, model: CiModel, seed: u64) -> Arc<NetworkWeights> {
-        let mut built = false;
-        let v = self.weights.get_or_compute((model, seed), || {
-            built = true;
-            ci_weights(model, seed)
-        });
-        if !built {
-            crate::trace::instant("cache_hit", || vec![("kind", "weights".into())]);
-        }
-        v
+        get_or_build(&self.weights, "weights", (model, seed), || ci_weights(model, seed))
     }
 
     /// The trace bundle for `(model, dataset, sample)` under `opts`,
@@ -519,16 +463,10 @@ impl SweepCache {
         opts: &WorkloadOptions,
     ) -> Arc<TraceBundle> {
         let key = (model, dataset, sample, opts.resolution, opts.seed);
-        let mut built = false;
-        let v = self.traces.get_or_compute(key, || {
-            built = true;
+        get_or_build(&self.traces, "trace", key, || {
             let weights = self.weights(model, opts.seed);
             ci_trace_bundle_with_weights(model, &weights, dataset, sample, opts)
-        });
-        if !built {
-            crate::trace::instant("cache_hit", || vec![("kind", "trace".into())]);
-        }
-        v
+        })
     }
 
     /// The term planes of layer `index` of the trace identified by
@@ -540,16 +478,10 @@ impl SweepCache {
         index: usize,
         layer: &LayerTrace,
     ) -> Arc<PaddedTerms> {
-        let mut built = false;
-        let v = self.term_planes.get_or_compute((key, index), || {
-            built = true;
+        get_or_build(&self.term_planes, "term_planes", (key, index), || {
             let _s = crate::trace::span_args("term_plane_build", || vec![("layer", index.into())]);
             PaddedTerms::for_layer(layer)
-        });
-        if !built {
-            crate::trace::instant("cache_hit", || vec![("kind", "term_planes".into())]);
-        }
-        v
+        })
     }
 
     /// Per-layer off-chip traffic of the trace identified by `key` under
@@ -565,15 +497,9 @@ impl SweepCache {
         trace: &NetworkTrace,
         scheme: SchemeChoice,
     ) -> Arc<Vec<LayerTraffic>> {
-        let mut built = false;
-        let v = self.traffic.get_or_compute((key, SchemeKey::from(scheme)), || {
-            built = true;
+        get_or_build(&self.traffic, "traffic", (key, SchemeKey::from(scheme)), || {
             network_scheme_traffic(trace, scheme)
-        });
-        if !built {
-            crate::trace::instant("cache_hit", || vec![("kind", "traffic".into())]);
-        }
-        v
+        })
     }
 
     /// The trace bundle of frame `frame` of the video stream `spec`,
@@ -584,16 +510,10 @@ impl SweepCache {
     ///
     /// Panics if `frame >= spec.frames`.
     pub fn video_frame(&self, spec: &VideoSpec, frame: usize) -> Arc<TraceBundle> {
-        let mut built = false;
-        let v = self.video_frames.get_or_compute((*spec, frame), || {
-            built = true;
+        get_or_build(&self.video_frames, "video_frame", (*spec, frame), || {
             let weights = self.weights(spec.model, spec.seed);
             video_frame_bundle_with_weights(spec, &weights, frame)
-        });
-        if !built {
-            crate::trace::instant("cache_hit", || vec![("kind", "video_frame".into())]);
-        }
-        v
+        })
     }
 
     /// The full single-frame re-evaluation cost of frame `frame`: the
@@ -603,17 +523,12 @@ impl SweepCache {
     /// `(spec, frame)`; the per-session savings ledger measures the
     /// temporal engine against this.
     pub fn video_frame_baseline(&self, spec: &VideoSpec, frame: usize) -> Arc<NetworkCycles> {
-        let mut built = false;
-        let v = self.video_cycles.get_or_compute((*spec, frame, VideoEval::Baseline), || {
-            built = true;
+        let key = (*spec, frame, VideoEval::Baseline);
+        get_or_build(&self.video_cycles, "video_cycles", key, || {
             let bundle = self.video_frame(spec, frame);
             let _s = crate::trace::span_args("frame_baseline", || vec![("frame", frame.into())]);
             term_serial_network(&bundle.trace, &AcceleratorConfig::table4(), ValueMode::Differential)
-        });
-        if !built {
-            crate::trace::instant("cache_hit", || vec![("kind", "video_cycles".into())]);
-        }
-        v
+        })
     }
 
     /// Temporal (Diffy-T / Diffy-ST, Table IV configuration) cycles of
@@ -638,17 +553,12 @@ impl SweepCache {
         prev: &TraceBundle,
     ) -> Arc<NetworkCycles> {
         assert!(frame >= 1, "frame 0 has no previous frame");
-        let mut built = false;
-        let v = self.video_cycles.get_or_compute((*spec, frame, VideoEval::Temporal(mode)), || {
-            built = true;
+        let key = (*spec, frame, VideoEval::Temporal(mode));
+        get_or_build(&self.video_cycles, "video_cycles", key, || {
             let cur = self.video_frame(spec, frame);
             let _s = crate::trace::span_args("frame_temporal", || vec![("frame", frame.into())]);
             temporal_network(&prev.trace, &cur.trace, &AcceleratorConfig::table4(), mode)
-        });
-        if !built {
-            crate::trace::instant("cache_hit", || vec![("kind", "video_cycles".into())]);
-        }
-        v
+        })
     }
 
     /// Evaluates `(model, dataset, sample)` under `eval`, drawing the
@@ -720,64 +630,51 @@ impl SweepCache {
 
     /// Number of distinct weight sets materialized so far.
     pub fn cached_weights(&self) -> usize {
-        self.weights.len()
+        self.weights.counters().resident
     }
 
     /// Number of distinct traces materialized so far.
     pub fn cached_traces(&self) -> usize {
-        self.traces.len()
+        self.traces.counters().resident
     }
 
     /// Number of distinct per-layer term planes materialized so far.
     pub fn cached_term_planes(&self) -> usize {
-        self.term_planes.len()
+        self.term_planes.counters().resident
     }
 
     /// Number of distinct `(trace, scheme)` traffic vectors materialized
     /// so far.
     pub fn cached_traffic(&self) -> usize {
-        self.traffic.len()
+        self.traffic.counters().resident
     }
 
-    /// Aggregate hit/miss/eviction counters and residency, for the
-    /// service's `/metrics` endpoint.
+    /// Aggregate hit/miss/shared/eviction counters and residency, for
+    /// the service's `/metrics` endpoint.
     pub fn stats(&self) -> CacheStats {
+        let stores = [
+            self.weights.counters(),
+            self.traces.counters(),
+            self.term_planes.counters(),
+            self.traffic.counters(),
+            self.video_frames.counters(),
+            self.video_cycles.counters(),
+            self.results.counters(),
+        ];
+        let total = |count: fn(&CacheCounters) -> u64| stores.iter().map(count).sum();
+        let [weights, traces, term_planes, traffic, video_frames, video_cycles, results] = stores;
         CacheStats {
-            hits: self.weights.hits()
-                + self.traces.hits()
-                + self.term_planes.hits()
-                + self.traffic.hits()
-                + self.video_frames.hits()
-                + self.video_cycles.hits()
-                + self.results.hits(),
-            misses: self.weights.misses()
-                + self.traces.misses()
-                + self.term_planes.misses()
-                + self.traffic.misses()
-                + self.video_frames.misses()
-                + self.video_cycles.misses()
-                + self.results.misses(),
-            evictions: self.weights.evictions()
-                + self.traces.evictions()
-                + self.term_planes.evictions()
-                + self.traffic.evictions()
-                + self.video_frames.evictions()
-                + self.video_cycles.evictions()
-                + self.results.evictions(),
-            cached_weights: self.weights.len(),
-            cached_traces: self.traces.len(),
-            cached_term_planes: self.term_planes.len(),
-            cached_traffic: self.traffic.len(),
-            cached_video_frames: self.video_frames.len(),
-            cached_video_cycles: self.video_cycles.len(),
-            shared: self.weights.shared()
-                + self.traces.shared()
-                + self.term_planes.shared()
-                + self.traffic.shared()
-                + self.video_frames.shared()
-                + self.video_cycles.shared()
-                + self.results.shared(),
-            cached_results: self.results.len(),
+            hits: total(|c| c.hits),
+            misses: total(|c| c.misses),
+            evictions: total(|c| c.evictions),
+            cached_weights: weights.resident,
+            cached_traces: traces.resident,
+            cached_term_planes: term_planes.resident,
+            cached_traffic: traffic.resident,
+            cached_video_frames: video_frames.resident,
+            cached_video_cycles: video_cycles.resident,
+            shared: total(|c| c.shared),
+            cached_results: results.resident,
             disk: self.disk.as_ref().map(DiskTier::stats).unwrap_or_default(),
         }
     }
@@ -794,17 +691,20 @@ impl SweepCache {
         self.results.clear();
     }
 
-    /// Evaluates a heterogeneous batch of points, fanning out over `par`
-    /// workers, and returns the results **in point order** —
-    /// bit-identical to calling [`SweepCache::evaluate`] point by point,
-    /// at any worker count.
+    /// Evaluates a batch of points, fanning out over `par` workers, and
+    /// returns the results **in point order** — bit-identical to calling
+    /// [`SweepCache::evaluate`] point by point, at any worker count (see
+    /// [`crate::parallel`]).
     ///
-    /// Unlike [`sweep_par`], every point carries its *own* workload, so
-    /// one batch can mix resolutions, seeds, models and architectures;
-    /// points that share keys still materialize each weight set, trace
-    /// and term-plane set at most once through this cache, no matter
-    /// which worker gets there first. This is the substrate both the
-    /// sweep engine and the service's batch endpoint stand on.
+    /// Every point carries its *own* workload, so one batch can mix
+    /// resolutions, seeds, models and architectures; points that share
+    /// keys still materialize each weight set, trace, term-plane set and
+    /// traffic vector at most once through this cache, no matter which
+    /// worker gets there first. This is the one batch-evaluation path:
+    /// sweeps, architecture comparisons, tiles × memory grids and the
+    /// report all run through it. (The service's batch endpoint fans
+    /// [`SweepCache::evaluate_keyed`] out over [`run_jobs`] instead, so
+    /// each item also goes through the result and disk tiers.)
     pub fn evaluate_points(&self, points: &[EvalPoint], par: Jobs) -> Vec<NetworkResult> {
         let tasks: Vec<_> = points
             .iter()
@@ -818,8 +718,7 @@ impl SweepCache {
 }
 
 /// One fully-specified evaluation point: a workload (what to trace) plus
-/// an architecture (what to price it on). [`SweepJob`] is the
-/// shared-workload special case.
+/// an architecture (what to price it on).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EvalPoint {
     /// Model to trace.
@@ -832,71 +731,6 @@ pub struct EvalPoint {
     pub workload: WorkloadOptions,
     /// Architecture/scheme/memory to evaluate the trace under.
     pub eval: EvalOptions,
-}
-
-/// One unit of sweep work: trace `(model, dataset, sample)` and evaluate
-/// it under `eval`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SweepJob {
-    /// Model to trace.
-    pub model: CiModel,
-    /// Dataset the sample comes from.
-    pub dataset: DatasetId,
-    /// Sample index within the dataset.
-    pub sample: usize,
-    /// Architecture/scheme/memory to evaluate the trace under.
-    pub eval: EvalOptions,
-}
-
-/// Evaluates every job, fanning out over `par` workers, and returns the
-/// results **in job order** — bit-identical to evaluating the jobs one
-/// by one in a loop, at any worker count (see [`crate::parallel`]).
-///
-/// Traces, weights and per-layer term planes are materialized at most
-/// once per key through `cache`, no matter how many jobs share them or
-/// which worker gets there first.
-pub fn sweep_par(
-    jobs: &[SweepJob],
-    opts: &WorkloadOptions,
-    par: Jobs,
-    cache: &SweepCache,
-) -> Vec<NetworkResult> {
-    let points: Vec<EvalPoint> = jobs
-        .iter()
-        .map(|job| EvalPoint {
-            model: job.model,
-            dataset: job.dataset,
-            sample: job.sample,
-            workload: *opts,
-            eval: job.eval,
-        })
-        .collect();
-    cache.evaluate_points(&points, par)
-}
-
-/// Traces one model across its datasets in parallel: the parallel,
-/// cached counterpart of calling [`ci_trace_bundle`] in a loop.
-///
-/// Output order is `datasets_for(model) × samples`, stable at any worker
-/// count. Samples are capped per dataset at the dataset's size, like the
-/// bench harness does.
-pub fn ci_trace_bundles_par(
-    model: CiModel,
-    opts: &WorkloadOptions,
-    par: Jobs,
-    cache: &SweepCache,
-) -> Vec<Arc<TraceBundle>> {
-    let mut pairs = Vec::new();
-    for dataset in datasets_for(model) {
-        for sample in 0..opts.samples_per_dataset.min(dataset.samples()) {
-            pairs.push((dataset, sample));
-        }
-    }
-    let tasks: Vec<_> = pairs
-        .into_iter()
-        .map(|(dataset, sample)| move || cache.bundle(model, dataset, sample, opts))
-        .collect();
-    run_jobs(tasks, par)
 }
 
 /// The datasets a CI model is evaluated on (all of Table II; callers cap
@@ -999,26 +833,6 @@ mod tests {
         }
         assert_eq!(cache.cached_traces(), 3, "distinct keys must not collide");
         assert_eq!(cache.cached_weights(), 2, "weights keyed by seed only");
-    }
-
-    #[test]
-    fn parallel_bundles_match_serial_order_and_content() {
-        let opts = WorkloadOptions::test_small();
-        let cache = SweepCache::new();
-        let par = ci_trace_bundles_par(CiModel::FfdNet, &opts, Jobs::new(4), &cache);
-        // Serial reference: same nested loop, fresh artifacts.
-        let mut serial = Vec::new();
-        for dataset in datasets_for(CiModel::FfdNet) {
-            for sample in 0..opts.samples_per_dataset.min(dataset.samples()) {
-                serial.push(ci_trace_bundle(CiModel::FfdNet, dataset, sample, &opts));
-            }
-        }
-        assert_eq!(par.len(), serial.len());
-        for (p, s) in par.iter().zip(&serial) {
-            assert_eq!(p.dataset, s.dataset);
-            assert_eq!(p.sample, s.sample);
-            assert_eq!(p.trace.output, s.trace.output);
-        }
     }
 
     #[test]
@@ -1134,25 +948,25 @@ mod tests {
     }
 
     #[test]
-    fn sweep_par_shares_planes_and_matches_serial() {
+    fn evaluate_points_shares_planes_and_matches_serial() {
         // A sweep of several architectures over one sample: results must
-        // match job-by-job serial evaluation, and the cache must hold one
-        // plane set per layer regardless of worker count.
+        // match point-by-point serial evaluation, and the cache must hold
+        // one plane set per layer regardless of worker count.
         let opts = WorkloadOptions::test_small();
-        let mut jobs = Vec::new();
-        for arch in [Architecture::Pra, Architecture::Diffy, Architecture::Pra] {
-            jobs.push(SweepJob {
+        let points = [Architecture::Pra, Architecture::Diffy, Architecture::Pra].map(|arch| {
+            EvalPoint {
                 model: CiModel::Ircnn,
                 dataset: DatasetId::Hd33,
                 sample: 0,
+                workload: opts,
                 eval: EvalOptions::new(arch, SchemeChoice::Ideal),
-            });
-        }
+            }
+        });
         let cache = SweepCache::new();
-        let par = sweep_par(&jobs, &opts, Jobs::new(3), &cache);
+        let par = cache.evaluate_points(&points, Jobs::new(3));
         let fresh = ci_trace_bundle(CiModel::Ircnn, DatasetId::Hd33, 0, &opts);
-        for (r, job) in par.iter().zip(&jobs) {
-            assert_eq!(*r, fresh.evaluate(&job.eval));
+        for (r, point) in par.iter().zip(&points) {
+            assert_eq!(*r, fresh.evaluate(&point.eval));
         }
         assert_eq!(cache.cached_traces(), 1);
         assert_eq!(cache.cached_term_planes(), fresh.trace.layers.len());
@@ -1391,6 +1205,7 @@ mod tests {
         let stats = warmed_cache.stats();
         assert_eq!(stats.cached_results, 2);
         assert_eq!(stats.disk.hits, 0, "warmup is not request traffic");
+        assert_eq!((stats.hits, stats.misses), (0, 0), "nor is it memory-tier traffic");
 
         // Warmed requests are pure memory hits: no disk read, no compute
         // (the trace/weight stores stay empty).

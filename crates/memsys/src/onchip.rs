@@ -1,7 +1,7 @@
 //! On-chip link bandwidth: what the dispatcher must pull out of the AM.
 //!
 //! The paper's delta storage does not only shrink the AM (Table V) — it
-//! "boost[s] the effective capacity of on- and off-chip storage and
+//! "boost\[s\] the effective capacity of on- and off-chip storage and
 //! communication links". This module quantifies the *link* half of that
 //! claim: the dispatcher feeds 16 columns × 16 lanes from the AM, and
 //! the bits it must read per compute cycle scale with the storage

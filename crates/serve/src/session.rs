@@ -10,7 +10,7 @@
 //! saved against full re-evaluation.
 //!
 //! The [`SessionStore`] is the stateful core: a mutex-guarded id map
-//! with the same LRU discipline as `diffy_core::parallel::BoundedCache`
+//! with the same LRU discipline as a bounded `diffy_core::parallel::Cache`
 //! (monotonic-tick recency, capacity-bound eviction) plus per-session
 //! idle deadlines swept by the server's parker job. Locking is
 //! two-level and never nested the other way: the store lock covers only
@@ -108,7 +108,7 @@ pub struct SessionStore {
 
 struct Inner {
     map: HashMap<u64, Entry>,
-    /// Monotonic recency clock (the BoundedCache idiom): bumped on every
+    /// Monotonic recency clock (the `Cache` idiom): bumped on every
     /// create/touch; the entry with the smallest stamp is the LRU.
     tick: u64,
     next_id: u64,
@@ -175,7 +175,7 @@ impl SessionStore {
     pub fn create(&self, spec: VideoSpec, mode: TemporalMode, now: Instant) -> Arc<Session> {
         let mut inner = self.lock();
         if inner.map.len() >= self.capacity {
-            // Same discipline as BoundedCache: drop the stalest entry.
+            // Same discipline as a bounded `Cache`: drop the stalest entry.
             if let Some((&lru, _)) =
                 inner.map.iter().min_by_key(|(_, e)| e.last_used)
             {

@@ -12,10 +12,10 @@
 //! Everything is seeded and offline; models and datasets are the
 //! synthetic stand-ins described in DESIGN.md.
 
-use diffy::core::accelerator::{evaluate_network_batch, EvalOptions, SchemeChoice};
+use diffy::core::accelerator::{EvalOptions, NetworkResult, SchemeChoice};
 use diffy::core::experiment::ExperimentId;
 use diffy::core::parallel::Jobs;
-use diffy::core::runner::{SweepCache, TraceBundle, WorkloadOptions, HD_PIXELS};
+use diffy::core::runner::{EvalPoint, SweepCache, TraceBundle, WorkloadOptions, HD_PIXELS};
 use diffy::core::scaling::{fig18_memory_ladder, FIG18_TILES};
 use diffy::core::summary::{fmt_bytes, TextTable};
 use diffy::encoding::delta::delta_rows_wrapping;
@@ -265,6 +265,20 @@ fn trace(model: CiModel, opts: &WorkloadOptions) -> std::sync::Arc<TraceBundle> 
     SweepCache::global().bundle(model, DatasetId::Hd33, 0, opts)
 }
 
+/// Evaluates the [`trace`] workload under every option set, in order,
+/// over `jobs` workers.
+fn evaluate_all(
+    model: CiModel,
+    opts: &WorkloadOptions,
+    evals: impl Iterator<Item = EvalOptions>,
+    jobs: Jobs,
+) -> Vec<NetworkResult> {
+    let points: Vec<EvalPoint> = evals
+        .map(|eval| EvalPoint { model, dataset: DatasetId::Hd33, sample: 0, workload: *opts, eval })
+        .collect();
+    SweepCache::global().evaluate_points(&points, jobs)
+}
+
 fn cmd_compare(args: &Args) -> Result<(), String> {
     let model = parse_model(args)?;
     let opts = parse_opts(args)?;
@@ -283,13 +297,10 @@ fn cmd_compare(args: &Args) -> Result<(), String> {
         "traffic",
     ]);
     let archs = [Architecture::Vaa, Architecture::Pra, Architecture::Diffy];
-    let eval_jobs: Vec<_> = archs
+    let evals = archs
         .iter()
-        .map(|&arch| {
-            (&bundle.trace, EvalOptions { arch, cfg: AcceleratorConfig::table4(), scheme, memory })
-        })
-        .collect();
-    let results = evaluate_network_batch(&eval_jobs, jobs);
+        .map(|&arch| EvalOptions { arch, cfg: AcceleratorConfig::table4(), scheme, memory });
+    let results = evaluate_all(model, &opts, evals, jobs);
     let base = results[0].total_cycles();
     for (arch, r) in archs.iter().zip(&results) {
         table.row(vec![
@@ -319,19 +330,15 @@ fn cmd_sweep(args: &Args) -> Result<(), String> {
     let mut table = TextTable::new(header);
     // The whole tiles × memory grid as one deterministic fan-out: cell
     // order is row-major, so the table reads back in job order.
-    let eval_jobs: Vec<_> = FIG18_TILES
-        .iter()
-        .flat_map(|&tiles| {
-            ladder.iter().map(move |&mem| EvalOptions {
-                arch: Architecture::Diffy,
-                cfg: AcceleratorConfig::table4().with_tiles(tiles),
-                scheme,
-                memory: mem,
-            })
+    let evals = FIG18_TILES.iter().flat_map(|&tiles| {
+        ladder.iter().map(move |&mem| EvalOptions {
+            arch: Architecture::Diffy,
+            cfg: AcceleratorConfig::table4().with_tiles(tiles),
+            scheme,
+            memory: mem,
         })
-        .map(|eval| (&bundle.trace, eval))
-        .collect();
-    let results = evaluate_network_batch(&eval_jobs, jobs);
+    });
+    let results = evaluate_all(model, &opts, evals, jobs);
     for (&tiles, row_results) in FIG18_TILES.iter().zip(results.chunks_exact(ladder.len())) {
         let mut row = vec![tiles.to_string()];
         for r in row_results {

@@ -186,6 +186,7 @@ fn warmed_cold_start_serves_disk_artifacts_bit_identically_from_memory() {
     let cache = m.get("cache").unwrap();
     let disk = cache.get("disk").unwrap();
     assert!(cache.get("hits").unwrap().as_u64().unwrap() >= 1, "memory tier must serve");
+    assert_eq!(cache.get("misses").unwrap().as_u64(), Some(0), "warmup is not request traffic");
     assert_eq!(disk.get("hits").unwrap().as_u64(), Some(0), "warmed serve must skip disk");
     assert_eq!(disk.get("corrupt").unwrap().as_u64(), Some(0));
 

@@ -11,7 +11,7 @@
 
 use diffy::core::accelerator::{evaluate_network, EvalOptions, SchemeChoice};
 use diffy::core::parallel::Jobs;
-use diffy::core::runner::{ci_trace_bundle, datasets_for, sweep_par, SweepCache, SweepJob, WorkloadOptions};
+use diffy::core::runner::{ci_trace_bundle, datasets_for, EvalPoint, SweepCache, WorkloadOptions};
 use diffy::encoding::StorageScheme;
 use diffy::models::CiModel;
 use diffy::sim::Architecture;
@@ -23,16 +23,17 @@ const ARCHS: [Architecture; 3] = [Architecture::Vaa, Architecture::Pra, Architec
 /// One job per `CiModel` × first dataset × architecture, in a fixed,
 /// meaningful order (model-major). Deeper dataset/sample coverage lives
 /// in the runner's own unit tests; this file is about engine identity.
-fn job_list() -> Vec<SweepJob> {
+fn job_list() -> Vec<EvalPoint> {
     let scheme = SchemeChoice::Scheme(StorageScheme::delta_d(16));
     let mut jobs = Vec::new();
     for model in CiModel::ALL {
         let dataset = datasets_for(model)[0];
         for arch in ARCHS {
-            jobs.push(SweepJob {
+            jobs.push(EvalPoint {
                 model,
                 dataset,
                 sample: 0,
+                workload: WorkloadOptions::test_small(),
                 eval: EvalOptions::new(arch, scheme),
             });
         }
@@ -89,7 +90,7 @@ fn parallel_results_are_bit_identical_to_serial_at_jobs_1_2_8() {
     // via the cache, and evaluation must not depend on worker count.
     let cache = SweepCache::new();
     for n in [1usize, 2, 8] {
-        let par: Vec<Fingerprint> = sweep_par(&jobs, &opts, Jobs::new(n), &cache)
+        let par: Vec<Fingerprint> = cache.evaluate_points(&jobs, Jobs::new(n))
             .iter()
             .map(fingerprint)
             .collect();
@@ -102,17 +103,17 @@ fn parallel_results_are_bit_identical_to_serial_at_jobs_1_2_8() {
 
 #[test]
 fn output_ordering_is_stable_across_runs() {
-    let opts = WorkloadOptions::test_small();
     let jobs = job_list();
     let cache = SweepCache::new();
     let run1: Vec<Fingerprint> =
-        sweep_par(&jobs, &opts, Jobs::new(8), &cache).iter().map(fingerprint).collect();
+        cache.evaluate_points(&jobs, Jobs::new(8)).iter().map(fingerprint).collect();
     let run2: Vec<Fingerprint> =
-        sweep_par(&jobs, &opts, Jobs::new(8), &cache).iter().map(fingerprint).collect();
+        cache.evaluate_points(&jobs, Jobs::new(8)).iter().map(fingerprint).collect();
     assert_eq!(run1, run2, "same jobs, same cache, same order — always");
 
     // And against a fresh cache (forces recomputation of every trace).
-    let run3: Vec<Fingerprint> = sweep_par(&jobs, &opts, Jobs::new(8), &SweepCache::new())
+    let run3: Vec<Fingerprint> = SweepCache::new()
+        .evaluate_points(&jobs, Jobs::new(8))
         .iter()
         .map(fingerprint)
         .collect();
@@ -126,10 +127,9 @@ fn output_ordering_is_stable_across_runs() {
 
 #[test]
 fn sweep_reuses_each_trace_across_architectures() {
-    let opts = WorkloadOptions::test_small();
     let jobs = job_list();
     let cache = SweepCache::new();
-    let _ = sweep_par(&jobs, &opts, Jobs::new(4), &cache);
+    let _ = cache.evaluate_points(&jobs, Jobs::new(4));
     // One trace per (model, dataset) pair — not one per job.
     assert_eq!(cache.cached_traces(), jobs.len() / ARCHS.len());
     assert_eq!(cache.cached_weights(), CiModel::ALL.len());

@@ -9,11 +9,12 @@
 
 use diffy::core::accelerator::{EvalOptions, SchemeChoice};
 use diffy::core::parallel::Jobs;
-use diffy::core::runner::{sweep_par, SweepCache, SweepJob, WorkloadOptions};
-use diffy::core::trace::{Collector, TraceLog};
+use diffy::core::runner::{EvalPoint, SweepCache, WorkloadOptions};
+use diffy::core::trace::{ArgValue, Collector, TraceLog};
 use diffy::encoding::StorageScheme;
 use diffy::models::CiModel;
 use diffy::sim::Architecture;
+use std::collections::BTreeMap;
 use std::sync::Mutex;
 
 /// Serializes tests touching the global collector (one per process, but
@@ -23,19 +24,33 @@ static TRACE_LOCK: Mutex<()> = Mutex::new(());
 /// Runs `jobs` through a fresh cache at `n` workers and captures the
 /// resulting trace. The collector is drained before and after so each
 /// capture stands alone.
-fn capture(jobs: &[SweepJob], n: usize) -> TraceLog {
+fn capture(jobs: &[EvalPoint], n: usize) -> TraceLog {
     let collector = Collector::global();
     collector.drain();
     collector.start();
-    let _ = sweep_par(jobs, &WorkloadOptions::test_small(), Jobs::new(n), &SweepCache::new());
+    let _ = SweepCache::new().evaluate_points(jobs, Jobs::new(n));
     collector.stop();
     collector.drain()
 }
 
-fn job(model: CiModel, arch: Architecture) -> SweepJob {
+fn job(model: CiModel, arch: Architecture) -> EvalPoint {
     let dataset = diffy::core::runner::datasets_for(model)[0];
     let scheme = SchemeChoice::Scheme(StorageScheme::delta_d(16));
-    SweepJob { model, dataset, sample: 0, eval: EvalOptions::new(arch, scheme) }
+    let workload = WorkloadOptions::test_small();
+    EvalPoint { model, dataset, sample: 0, workload, eval: EvalOptions::new(arch, scheme) }
+}
+
+/// `cache_hit` instant count per store `kind` arg.
+fn cache_hits_by_kind(log: &TraceLog) -> BTreeMap<String, usize> {
+    let mut hits = BTreeMap::new();
+    for r in log.spans.iter().filter(|r| r.name == "cache_hit") {
+        let kind = r.args.iter().find_map(|(k, v)| match (k, v) {
+            (&"kind", ArgValue::Str(kind)) => Some(kind.clone()),
+            _ => None,
+        });
+        *hits.entry(kind.expect("cache_hit carries a kind")).or_insert(0) += 1;
+    }
+    hits
 }
 
 #[test]
@@ -102,15 +117,17 @@ fn shared_key_jobs_conserve_span_counts() {
     assert_eq!(counts.get("weight_gen"), Some(&1), "counts: {counts:?}");
     assert_eq!(counts.get("trace_synthesis"), Some(&1), "counts: {counts:?}");
     assert_eq!(counts.get("job"), Some(&3), "counts: {counts:?}");
-    // Two jobs find the weights and the trace already built; exact
-    // term-plane hit counts depend on layer count, so just require some.
-    assert!(counts.get("cache_hit").copied().unwrap_or(0) >= 4, "counts: {counts:?}");
+    // Two jobs find the trace already built and share the DeltaD16
+    // traffic vector; one of PRA and Diffy builds IRCNN's 7 layers of
+    // term planes and the other reuses all of them. The weights are only
+    // read by the one trace build, so they never hit.
+    let hits: BTreeMap<String, usize> =
+        [("term_planes", 7), ("trace", 2), ("traffic", 2)].map(|(k, n)| (k.to_string(), n)).into();
+    assert_eq!(cache_hits_by_kind(&serial), hits);
 
     for n in [2usize, 8] {
-        assert_eq!(
-            capture(&jobs, n).name_counts(),
-            counts,
-            "span-name multiset changed at jobs={n}"
-        );
+        let log = capture(&jobs, n);
+        assert_eq!(log.name_counts(), counts, "span-name multiset changed at jobs={n}");
+        assert_eq!(cache_hits_by_kind(&log), hits, "cache_hit kinds changed at jobs={n}");
     }
 }
