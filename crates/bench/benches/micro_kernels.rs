@@ -9,7 +9,10 @@
 //! speedup to that path — the repo commits the full-HD run as
 //! `BENCH_term_serial.json`. `DIFFY_BENCH_SMOKE=1` shrinks the workload
 //! to seconds for CI. Both kernels are asserted cycle-identical here, so
-//! the bench doubles as a divergence gate.
+//! the bench doubles as a divergence gate. The section also times the two
+//! kernels of a cold evaluation, each gated against its reference: the
+//! inference conv (`conv2d_fast_dncnn64` vs `conv2d`) and the DeltaD16
+//! traffic footprint (`traffic_deltad16_*` vs the encoder's bits).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use diffy_bench::{bench_smoke, time_kernel, write_bench_json, BenchRecord};
@@ -21,6 +24,7 @@ use diffy_encoding::delta::{delta_rows_wrapping, undelta_rows_wrapping};
 use diffy_encoding::precision::Signedness;
 use diffy_encoding::{booth_terms, booth_terms_slice, booth_terms_slice_swar, StorageScheme};
 use diffy_imaging::datasets::DatasetId;
+use diffy_memsys::traffic::encoded_bytes;
 use diffy_models::{CiModel, LayerTrace};
 use diffy_sim::{
     term_serial_layer, term_serial_layer_reference, term_serial_layer_with_terms,
@@ -189,6 +193,7 @@ fn bench_term_serial(_c: &mut Criterion) {
         "delta transform no longer roundtrips"
     );
     records.push(rec);
+
     // Release the micro-record buffers before the cold-path loops below;
     // see the record-ordering note there.
     drop(dplanes);
@@ -366,6 +371,49 @@ fn bench_term_serial(_c: &mut Criterion) {
         });
     }
 
+    // The two kernels of a cold evaluation run last, after the layer and
+    // its planes are released, so the cold-path records above keep the
+    // allocation history they had before these records existed.
+    drop(terms);
+    drop(trace);
+
+    // The inference conv on a DnCNN trunk layer: 64x64x64 post-ReLU
+    // activations below 2^12 and weights within ±2^10, the ranges a
+    // calibrated layer holds (one i32 segment per filter block), 64 3x3
+    // filters, same pad. Gated equal to the reference loop nest.
+    let cimap =
+        Tensor3::from_vec(64, 64, 64, pseudo_values(64 * 64 * 64)).map(|v| (v >> 3) & 0x0FFF);
+    let cweights = pseudo_values(64 * 64 * 9).iter().map(|v| v >> 5).collect();
+    let cfmaps = Tensor4::from_vec(64, 64, 3, 3, cweights);
+    let cgeom = ConvGeometry::same(3, 3);
+    let macs = (64 * 64 * 64 * 64 * 9) as u64;
+    let (rec, fast) = time_kernel("conv2d_fast_dncnn64", 3, min_total, Some(macs), || {
+        conv2d_fast(black_box(&cimap), black_box(&cfmaps), None, cgeom)
+    });
+    assert_eq!(fast, conv2d(&cimap, &cfmaps, None, cgeom), "conv2d_fast diverged from conv2d");
+    records.push(rec);
+    drop(fast);
+
+    // The DeltaD16 traffic footprint of one full-HD activation tensor,
+    // gated equal to the bits the encoder writes for every row.
+    let tt = Tensor3::from_vec(16, h, w, pseudo_values(16 * h * w));
+    let scheme = StorageScheme::delta_d(16);
+    let (rec, bytes) = time_kernel(
+        &format!("traffic_deltad16_{h}p"),
+        3,
+        min_total,
+        Some(tt.len() as u64),
+        || encoded_bytes(black_box(&tt), scheme),
+    );
+    let mut bw = BitWriter::new();
+    for c in 0..16 {
+        for y in 0..h {
+            scheme.encode_row(tt.row(c, y), Signedness::Signed, &mut bw);
+        }
+    }
+    assert_eq!(bytes, bw.bit_len().div_ceil(8), "DeltaD16 footprint diverged from the encoder");
+    records.push(rec);
+
     println!(
         "headline kernel speedup (shared planes, min over modes): {speedup_kernel:.1}x; \
          cold incl. build: {speedup_cold:.1}x"
@@ -374,6 +422,10 @@ fn bench_term_serial(_c: &mut Criterion) {
         ("workload", format!("16x{h}x{w} imap, 16 filters 3x3, same pad, stride 1")),
         ("config", "table4 (4 tiles, 16 windows, 16 lanes, T16)".to_string()),
         ("smoke", smoke.to_string()),
+        (
+            "host_parallelism",
+            std::thread::available_parallelism().map_or(1, |n| n.get()).to_string(),
+        ),
         (
             "note",
             "planes_cold includes the per-layer plane build; planes_shared amortizes \

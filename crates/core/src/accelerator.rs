@@ -8,7 +8,7 @@
 
 use diffy_encoding::StorageScheme;
 use diffy_memsys::overlap::{combine, fps, LayerTiming};
-use diffy_memsys::traffic::{layer_traffic, network_traffic_profiled, LayerTraffic};
+use diffy_memsys::traffic::{network_traffic, network_traffic_profiled, LayerTraffic};
 use diffy_memsys::MemorySystem;
 use diffy_models::{LayerTrace, NetworkTrace};
 use diffy_sim::scnn::{scnn_network, ScnnConfig};
@@ -176,16 +176,11 @@ pub fn evaluate_network(trace: &NetworkTrace, opts: &EvalOptions) -> NetworkResu
 /// counts never depend on the architecture, memory node, or any prior
 /// evaluation. Extracted so callers that price one trace repeatedly (the
 /// serve/sweep cache) can memoize it: for the concrete schemes this
-/// re-encodes every layer's input and output activation maps, which is
-/// the dominant cost of a warm evaluation.
+/// encodes every activation map of the trace once, which is the dominant
+/// cost of a warm evaluation.
 pub fn network_scheme_traffic(trace: &NetworkTrace, scheme: SchemeChoice) -> Vec<LayerTraffic> {
     match scheme {
-        SchemeChoice::Scheme(s) => trace
-            .layers
-            .iter()
-            .enumerate()
-            .map(|(i, l)| layer_traffic(l, trace.omap(i), s))
-            .collect(),
+        SchemeChoice::Scheme(s) => network_traffic(trace, s),
         SchemeChoice::Profiled { quantile } => network_traffic_profiled(trace, quantile),
         SchemeChoice::Ideal => trace
             .layers

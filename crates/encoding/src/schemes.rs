@@ -18,7 +18,7 @@
 
 use crate::bitstream::{BitReader, BitWriter};
 use crate::delta::{delta_slice_wrapping, undelta_slice_wrapping};
-use crate::precision::{group_precision, Signedness, GROUP_HEADER_BITS};
+use crate::precision::{value_bits, Signedness, GROUP_HEADER_BITS};
 use diffy_tensor::Tensor3;
 use std::fmt;
 
@@ -69,17 +69,16 @@ impl StorageScheme {
     /// Encoded size of one row in bits.
     ///
     /// `signedness` describes the raw value population (deltas are always
-    /// treated as signed).
+    /// treated as signed); only `RawD` reads it. The dynamic schemes are
+    /// counted in one pass that allocates nothing and forms the deltas as
+    /// it goes.
     pub fn row_bits(&self, row: &[i16], signedness: Signedness) -> u64 {
         match *self {
             StorageScheme::NoCompression => 16 * row.len() as u64,
             StorageScheme::Profiled { bits } => bits as u64 * row.len() as u64,
-            StorageScheme::RawDynamic { group } => {
-                dynamic_bits_i16(row, group, signedness)
-            }
+            StorageScheme::RawDynamic { group } => dynamic_bits(row, group, signedness, false),
             StorageScheme::DeltaDynamic { group } => {
-                let ds = delta_slice_wrapping(row);
-                dynamic_bits_i16(&ds, group, Signedness::Signed)
+                dynamic_bits(row, group, Signedness::Signed, true)
             }
             StorageScheme::RleZ => rlez_entries(row) * RLE_ENTRY_BITS,
             StorageScheme::Rle => rle_entries(row) * RLE_ENTRY_BITS,
@@ -179,16 +178,49 @@ impl fmt::Display for StorageScheme {
     }
 }
 
-fn precision_i16(vs: &[i16], signedness: Signedness) -> u32 {
-    let wide: Vec<i32> = vs.iter().map(|&v| v as i32).collect();
-    group_precision(&wide, signedness)
+/// Folds a value into its group's precision OR: `v ^ (v >> 15)` maps
+/// `v >= 0` to itself and `v < 0` to `!v = -v - 1`. The bit length of the
+/// fold is the magnitude width a two's-complement value needs besides its
+/// sign bit, and ORing keeps the highest bit of the widest value, so the
+/// OR of a group's folds decides the group's precision exactly. An
+/// unsigned population is non-negative, where the fold is the identity.
+#[inline]
+fn sign_fold(v: i16) -> u16 {
+    (v ^ (v >> 15)) as u16
 }
 
-fn dynamic_bits_i16(vs: &[i16], group: usize, signedness: Signedness) -> u64 {
+/// Precision of a group from the OR of its [`sign_fold`]s: `17 - lz16`
+/// when signed (magnitude bits plus a sign bit), `max(1, 16 - lz16)` when
+/// unsigned (a group never stores fewer than one bit per value).
+#[inline]
+fn folded_precision(or: u16, signedness: Signedness) -> u32 {
+    match signedness {
+        Signedness::Unsigned => (16 - or.leading_zeros()).max(1),
+        Signedness::Signed => 17 - or.leading_zeros(),
+    }
+}
+
+/// Footprint of a row under dynamic per-group precision: a header plus
+/// `precision × len` bits per group. With `delta` the groups hold the
+/// row-anchored wrapping deltas `row[x] - row[x - 1]` (`row[-1] = 0`),
+/// formed on the fly from two staggered views of the row.
+fn dynamic_bits(row: &[i16], group: usize, signedness: Signedness, delta: bool) -> u64 {
     assert!(group > 0, "group size must be positive");
-    vs.chunks(group)
-        .map(|g| GROUP_HEADER_BITS + precision_i16(g, signedness) as u64 * g.len() as u64)
-        .sum()
+    let mut bits = 0;
+    for start in (0..row.len()).step_by(group) {
+        let end = row.len().min(start + group);
+        let or = if delta {
+            let (mut or, from) = if start == 0 { (sign_fold(row[0]), 1) } else { (0, start) };
+            for (&cur, &prev) in row[from..end].iter().zip(&row[from - 1..end - 1]) {
+                or |= sign_fold(cur.wrapping_sub(prev));
+            }
+            or
+        } else {
+            row[start..end].iter().fold(0, |or, &v| or | sign_fold(v))
+        };
+        bits += GROUP_HEADER_BITS + folded_precision(or, signedness) as u64 * (end - start) as u64;
+    }
+    bits
 }
 
 fn encode_fixed(w: &mut BitWriter, v: i16, bits: u32, signedness: Signedness) {
@@ -224,7 +256,9 @@ fn decode_fixed(r: &mut BitReader<'_>, bits: u32, signedness: Signedness) -> Opt
 fn encode_dynamic(w: &mut BitWriter, vs: &[i16], group: usize, signedness: Signedness) {
     assert!(group > 0, "group size must be positive");
     for g in vs.chunks(group) {
-        let p = precision_i16(g, signedness);
+        // Per-value widths, not the footprint's OR-fold: the encoder is
+        // the independent oracle the footprint tests compare against.
+        let p = g.iter().map(|&v| value_bits(v as i32, signedness)).max().unwrap_or(1).max(1);
         debug_assert!((1..=16).contains(&p));
         w.write_bits((p - 1) as u64, GROUP_HEADER_BITS as u32);
         for &v in g {

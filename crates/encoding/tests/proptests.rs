@@ -19,6 +19,56 @@ fn small_tensor3() -> impl Strategy<Value = Tensor3<i16>> {
     })
 }
 
+/// Tensors of any width up to 40 (mostly not a multiple of the group
+/// sizes) whose values favour the 16-bit extremes, so rows often
+/// alternate `i16::MIN`/`i16::MAX` and their wrapping deltas wrap.
+fn extreme_tensor3() -> impl Strategy<Value = Tensor3<i16>> {
+    (1usize..=3, 1usize..=3, 1usize..=40).prop_flat_map(|(c, h, w)| {
+        let v = prop_oneof![Just(i16::MIN), Just(i16::MAX), Just(0i16), any::<i16>()];
+        proptest::collection::vec(v, c * h * w)
+            .prop_map(move |data| Tensor3::from_vec(c, h, w, data))
+    })
+}
+
+/// `tensor_bits` must equal the bits `encode_row` writes for every row,
+/// for every lossless scheme.
+fn assert_tensor_bits_match_encoder(t: &Tensor3<i16>, sign: Signedness) {
+    let s = t.shape();
+    for scheme in [
+        StorageScheme::NoCompression,
+        StorageScheme::raw_d(4),
+        StorageScheme::raw_d(16),
+        StorageScheme::raw_d(256),
+        StorageScheme::delta_d(16),
+        StorageScheme::delta_d(256),
+        StorageScheme::RleZ,
+        StorageScheme::Rle,
+    ] {
+        let mut w = BitWriter::new();
+        for c in 0..s.c {
+            for y in 0..s.h {
+                scheme.encode_row(t.row(c, y), sign, &mut w);
+            }
+        }
+        assert_eq!(scheme.tensor_bits(t, sign), w.bit_len(), "{scheme} {sign:?} {:?}", s);
+    }
+}
+
+#[test]
+fn tensor_bits_match_encoder_on_alternating_extremes() {
+    for w in [1, 15, 17, 33, 257] {
+        let signed = Tensor3::from_vec(
+            2,
+            3,
+            w,
+            (0..6 * w).map(|i| if i % 2 == 0 { i16::MIN } else { i16::MAX }).collect(),
+        );
+        assert_tensor_bits_match_encoder(&signed, Signedness::Signed);
+        let unsigned = signed.map(|v| v & i16::MAX);
+        assert_tensor_bits_match_encoder(&unsigned, Signedness::Unsigned);
+    }
+}
+
 proptest! {
     #[test]
     fn naf_digits_reconstruct(v in any::<i32>()) {
@@ -146,15 +196,26 @@ proptest! {
         row in proptest::collection::vec(0i16..=i16::MAX, 1..80),
     ) {
         for scheme in [
+            StorageScheme::raw_d(4),
             StorageScheme::raw_d(16),
             StorageScheme::delta_d(16),
+            StorageScheme::delta_d(256),
         ] {
             let mut w = BitWriter::new();
             scheme.encode_row(&row, Signedness::Unsigned, &mut w);
+            prop_assert_eq!(w.bit_len(), scheme.row_bits(&row, Signedness::Unsigned));
             let bytes = w.finish();
             let mut r = BitReader::new(&bytes);
             let back = scheme.decode_row(&mut r, row.len(), Signedness::Unsigned).unwrap();
             prop_assert_eq!(&back, &row);
+        }
+    }
+
+    #[test]
+    fn tensor_bits_equal_summed_encoded_rows(t in extreme_tensor3()) {
+        let unsigned = t.map(|v| v & i16::MAX);
+        for (t, sign) in [(&t, Signedness::Signed), (&unsigned, Signedness::Unsigned)] {
+            assert_tensor_bits_match_encoder(t, sign);
         }
     }
 

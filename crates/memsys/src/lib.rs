@@ -34,4 +34,4 @@ pub mod wm;
 
 pub use offchip::{MemoryNode, MemorySystem};
 pub use overlap::{combine, LayerTiming};
-pub use traffic::{layer_traffic, network_traffic, LayerTraffic};
+pub use traffic::{network_traffic, LayerTraffic};

@@ -8,7 +8,7 @@
 
 use diffy_encoding::precision::Signedness;
 use diffy_encoding::StorageScheme;
-use diffy_models::{LayerTrace, NetworkTrace};
+use diffy_models::NetworkTrace;
 use diffy_tensor::Tensor3;
 
 /// Off-chip traffic of one layer, in bytes.
@@ -34,9 +34,11 @@ impl LayerTraffic {
     }
 }
 
-/// Signedness of a tensor's population, detected from its values.
+/// Signedness of a tensor's population, detected from its values: one
+/// branch-free OR over the raw bits, whose sign bit is set iff some value
+/// is negative.
 pub fn tensor_signedness(t: &Tensor3<i16>) -> Signedness {
-    if t.iter().any(|&v| v < 0) {
+    if t.iter().fold(0u16, |or, &v| or | v as u16) & 0x8000 != 0 {
         Signedness::Signed
     } else {
         Signedness::Unsigned
@@ -45,27 +47,19 @@ pub fn tensor_signedness(t: &Tensor3<i16>) -> Signedness {
 
 /// Encoded size of a tensor under a scheme, in bytes (rounded up).
 pub fn encoded_bytes(t: &Tensor3<i16>, scheme: StorageScheme) -> u64 {
-    scheme.tensor_bits(t, tensor_signedness(t)).div_ceil(8)
+    // Only RawD's footprint depends on the population's signedness, so
+    // only RawD pays for the detection pass.
+    let sign = match scheme {
+        StorageScheme::RawDynamic { .. } => tensor_signedness(t),
+        _ => Signedness::Signed,
+    };
+    scheme.tensor_bits(t, sign).div_ceil(8)
 }
 
-/// Traffic of one layer: imap read + omap write + weights, under the
-/// given activation storage scheme.
-pub fn layer_traffic(trace: &LayerTrace, omap: &Tensor3<i16>, scheme: StorageScheme) -> LayerTraffic {
-    LayerTraffic {
-        imap_read_bytes: encoded_bytes(&trace.imap, scheme),
-        omap_write_bytes: encoded_bytes(omap, scheme),
-        weight_bytes: trace.fmaps.len() as u64 * 2,
-    }
-}
-
-/// Per-layer traffic of a whole network trace.
+/// Per-layer traffic of a whole network trace: imap read + omap write +
+/// weights, under the given activation storage scheme.
 pub fn network_traffic(trace: &NetworkTrace, scheme: StorageScheme) -> Vec<LayerTraffic> {
-    trace
-        .layers
-        .iter()
-        .enumerate()
-        .map(|(i, l)| layer_traffic(l, trace.omap(i), scheme))
-        .collect()
+    traffic_of_tensors(trace, |t| encoded_bytes(t, scheme))
 }
 
 /// Per-layer traffic where the `Profiled` scheme derives its per-layer
@@ -75,24 +69,31 @@ pub fn network_traffic(trace: &NetworkTrace, scheme: StorageScheme) -> Vec<Layer
 pub fn network_traffic_profiled(trace: &NetworkTrace, quantile: f64) -> Vec<LayerTraffic> {
     use diffy_encoding::precision::profiled_precision;
     use diffy_tensor::stats::MagnitudeHistogram;
+    traffic_of_tensors(trace, |t| {
+        let mut h = MagnitudeHistogram::new();
+        h.extend_from_slice(t.as_slice());
+        let bits = profiled_precision(&h, tensor_signedness(t), quantile);
+        encoded_bytes(t, StorageScheme::Profiled { bits })
+    })
+}
+
+/// Per-layer traffic from the encoded size of each activation tensor.
+/// Layer `i`'s omap is layer `i + 1`'s imap ([`NetworkTrace::omap`]), so
+/// each of the L + 1 distinct tensors is encoded once, not twice.
+fn traffic_of_tensors(
+    trace: &NetworkTrace,
+    bytes: impl Fn(&Tensor3<i16>) -> u64,
+) -> Vec<LayerTraffic> {
+    let tensor_bytes: Vec<u64> =
+        trace.layers.iter().map(|l| &l.imap).chain([&trace.output]).map(bytes).collect();
     trace
         .layers
         .iter()
-        .enumerate()
-        .map(|(i, l)| {
-            let scheme_for = |t: &Tensor3<i16>| {
-                let mut h = MagnitudeHistogram::new();
-                h.extend_from_slice(t.as_slice());
-                StorageScheme::Profiled {
-                    bits: profiled_precision(&h, tensor_signedness(t), quantile),
-                }
-            };
-            let omap = trace.omap(i);
-            LayerTraffic {
-                imap_read_bytes: encoded_bytes(&l.imap, scheme_for(&l.imap)),
-                omap_write_bytes: encoded_bytes(omap, scheme_for(omap)),
-                weight_bytes: l.fmaps.len() as u64 * 2,
-            }
+        .zip(tensor_bytes.windows(2))
+        .map(|(l, b)| LayerTraffic {
+            imap_read_bytes: b[0],
+            omap_write_bytes: b[1],
+            weight_bytes: l.fmaps.len() as u64 * 2,
         })
         .collect()
 }
@@ -100,6 +101,7 @@ pub fn network_traffic_profiled(trace: &NetworkTrace, quantile: f64) -> Vec<Laye
 #[cfg(test)]
 mod tests {
     use super::*;
+    use diffy_models::LayerTrace;
     use diffy_tensor::{ConvGeometry, Tensor4};
 
     fn mk_trace(imap: Tensor3<i16>) -> LayerTrace {
@@ -124,11 +126,16 @@ mod tests {
         Tensor3::from_vec(4, 8, 32, data)
     }
 
+    /// Traffic of a one-layer trace from `imap` to `omap`.
+    fn one_layer(imap: Tensor3<i16>, omap: Tensor3<i16>, scheme: StorageScheme) -> LayerTraffic {
+        let nt = NetworkTrace { model: "m".into(), layers: vec![mk_trace(imap)], output: omap };
+        network_traffic(&nt, scheme)[0]
+    }
+
     #[test]
     fn no_compression_is_two_bytes_per_value() {
-        let t = mk_trace(smooth_imap());
         let omap = Tensor3::<i16>::filled(4, 8, 32, 3);
-        let tr = layer_traffic(&t, &omap, StorageScheme::NoCompression);
+        let tr = one_layer(smooth_imap(), omap, StorageScheme::NoCompression);
         assert_eq!(tr.imap_read_bytes, (4 * 8 * 32) * 2);
         assert_eq!(tr.omap_write_bytes, (4 * 8 * 32) * 2);
         assert_eq!(tr.weight_bytes, (4 * 4 * 9) * 2);
@@ -137,10 +144,8 @@ mod tests {
 
     #[test]
     fn delta_scheme_beats_raw_on_smooth_data() {
-        let t = mk_trace(smooth_imap());
-        let omap = smooth_imap();
-        let raw = layer_traffic(&t, &omap, StorageScheme::raw_d(16));
-        let delta = layer_traffic(&t, &omap, StorageScheme::delta_d(16));
+        let raw = one_layer(smooth_imap(), smooth_imap(), StorageScheme::raw_d(16));
+        let delta = one_layer(smooth_imap(), smooth_imap(), StorageScheme::delta_d(16));
         assert!(delta.activation_bytes() < raw.activation_bytes());
     }
 

@@ -1,6 +1,9 @@
-//! Direct (sliding-window) reference convolution.
+//! Convolution kernels: the direct (sliding-window) reference
+//! [`conv2d`], an im2col cross-check, and the output-stationary SIMD
+//! kernel [`conv2d_fast`] the inference engine runs. All three return the
+//! same exact `i64` accumulators.
 //!
-//! Implements Eq. (1) of the paper exactly:
+//! The reference implements Eq. (1) of the paper exactly:
 //!
 //! ```text
 //! o(n,y,x) = Σ_k Σ_j Σ_i w^n(k,j,i) · a(k, j + y·S, i + x·S)
@@ -89,10 +92,237 @@ pub fn conv2d(
     omap
 }
 
-/// Computes the same convolution as [`conv2d`] with a cache-friendly,
-/// weight-hoisted loop nest (weight scalar held in a register while an
-/// entire output row is accumulated). Produces bit-identical results;
-/// several times faster on large imaps, so the inference engine uses it.
+/// Output columns per strip: sixteen 16-bit activations fill one AVX2
+/// register.
+const STRIP: usize = 16;
+/// Filters per output-stationary block.
+const BLOCK_K: usize = 4;
+
+/// The i64 outputs of one block: `BLOCK_K` filters × `STRIP` columns.
+type Block = [[i64; STRIP]; BLOCK_K];
+
+/// Two filter taps fused into one multiply-add step: where each tap's
+/// activation strip starts, relative to the block's base in the padded
+/// imap, and the block's weights for both taps, one `i32` per filter
+/// packing the first tap's weight in the low half and the second's in
+/// the high half (the operand layout of `pmaddwd`).
+#[derive(Debug, Clone, Copy)]
+struct TapPair {
+    off: [usize; 2],
+    w: [i32; BLOCK_K],
+}
+
+/// A layer's weights re-laid out for the strip kernels: per block of
+/// `BLOCK_K` filters, the nonzero taps as pairs, cut into segments whose
+/// i32 partial sums cannot overflow.
+struct ConvPlan {
+    pairs: Vec<TapPair>,
+    /// Pair range of each segment, blocks in filter order.
+    segments: Vec<std::ops::Range<usize>>,
+    /// Segment range of each block.
+    blocks: Vec<std::ops::Range<usize>>,
+}
+
+impl ConvPlan {
+    /// Builds the plan for `fmaps` over a padded imap whose largest
+    /// magnitude is `amax`. `tap_off(c, j, i)` locates tap `(j, i)` of
+    /// channel `c` in the padded imap.
+    ///
+    /// A segment grows while `Σ max_f |w_f| · amax` over its taps stays
+    /// at most `i32::MAX`; that sum bounds every partial sum of every
+    /// output in the block, so each segment's i32 total is exact. One
+    /// tap alone is at most `2^15 · 2^15 = 2^30`, so every segment holds
+    /// at least one tap; an odd tap out gets a zero-weight partner.
+    fn new(
+        fmaps: &Tensor4<i16>,
+        amax: u64,
+        tap_off: impl Fn(usize, usize, usize) -> usize,
+    ) -> Self {
+        let fs = fmaps.shape();
+        let mut plan = ConvPlan { pairs: Vec::new(), segments: Vec::new(), blocks: Vec::new() };
+        for k0 in (0..fs.k).step_by(BLOCK_K) {
+            let first_segment = plan.segments.len();
+            let mut seg_start = plan.pairs.len();
+            let mut budget = 0u64;
+            let mut pending: Option<(usize, [i16; BLOCK_K])> = None;
+            for c in 0..fs.c {
+                for j in 0..fs.h {
+                    for i in 0..fs.w {
+                        let mut w = [0i16; BLOCK_K];
+                        for (f, wf) in w.iter_mut().enumerate().take(fs.k - k0) {
+                            *wf = *fmaps.at(k0 + f, c, j, i);
+                        }
+                        let wmax = w.iter().map(|v| v.unsigned_abs()).max().unwrap_or(0);
+                        if wmax == 0 {
+                            continue;
+                        }
+                        let cost = wmax as u64 * amax;
+                        if budget + cost > i32::MAX as u64 {
+                            plan.close_segment(&mut pending, &mut seg_start);
+                            budget = 0;
+                        }
+                        budget += cost;
+                        let off = tap_off(c, j, i);
+                        match pending.take() {
+                            None => pending = Some((off, w)),
+                            Some(first) => plan.pairs.push(TapPair::new(first, (off, w))),
+                        }
+                    }
+                }
+            }
+            plan.close_segment(&mut pending, &mut seg_start);
+            plan.blocks.push(first_segment..plan.segments.len());
+        }
+        plan
+    }
+
+    /// Ends the open segment, pairing an odd tap out with a zero-weight
+    /// partner that reads the same strip.
+    fn close_segment(
+        &mut self,
+        pending: &mut Option<(usize, [i16; BLOCK_K])>,
+        seg_start: &mut usize,
+    ) {
+        if let Some(first) = pending.take() {
+            self.pairs.push(TapPair::new(first, (first.0, [0; BLOCK_K])));
+        }
+        if self.pairs.len() > *seg_start {
+            self.segments.push(*seg_start..self.pairs.len());
+            *seg_start = self.pairs.len();
+        }
+    }
+
+    /// Largest strip offset of any pair.
+    fn max_off(&self) -> usize {
+        self.pairs.iter().flat_map(|p| p.off).max().unwrap_or(0)
+    }
+}
+
+impl TapPair {
+    fn new((off_a, wa): (usize, [i16; BLOCK_K]), (off_b, wb): (usize, [i16; BLOCK_K])) -> Self {
+        let mut w = [0i32; BLOCK_K];
+        for (f, v) in w.iter_mut().enumerate() {
+            *v = (wa[f] as u16 as u32 | (wb[f] as u16 as u32) << 16) as i32;
+        }
+        TapPair { off: [off_a, off_b], w }
+    }
+}
+
+/// The strip kernel a convolution runs: both compute the same exact
+/// segment sums.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Strip {
+    /// Portable Rust, any target.
+    Portable,
+    /// AVX2 `vpmaddwd`; only constructed after runtime detection.
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+}
+
+impl Strip {
+    /// The fastest strip this CPU supports.
+    fn detect() -> Self {
+        #[cfg(target_arch = "x86_64")]
+        if std::is_x86_feature_detected!("avx2") {
+            return Strip::Avx2;
+        }
+        Strip::Portable
+    }
+
+    /// Adds the i32 sum of one segment's tap pairs over the block at
+    /// `base` into `out`. The caller guarantees every strip read,
+    /// `base + pair.off[_] .. + STRIP`, lies inside `act`.
+    #[inline]
+    fn run(self, act: &[i16], base: usize, pairs: &[TapPair], out: &mut Block) {
+        match self {
+            Strip::Portable => strip_portable(act, base, pairs, out),
+            // SAFETY: `Avx2` exists only after runtime detection, and the
+            // caller keeps every strip read in bounds.
+            #[cfg(target_arch = "x86_64")]
+            Strip::Avx2 => unsafe { strip_avx2(act, base, pairs, out) },
+        }
+    }
+}
+
+/// Portable strip: the AVX2 algorithm in plain Rust. Products of two i16
+/// fit an i32; the pair sums and the running sums wrap, and the segment
+/// bound makes the wrapped total exact.
+fn strip_portable(act: &[i16], base: usize, pairs: &[TapPair], out: &mut Block) {
+    let mut acc = [[0i32; STRIP]; BLOCK_K];
+    for tp in pairs {
+        let a = &act[base + tp.off[0]..][..STRIP];
+        let b = &act[base + tp.off[1]..][..STRIP];
+        for (accf, &w) in acc.iter_mut().zip(&tp.w) {
+            let (wa, wb) = (w as i16 as i32, w >> 16);
+            for ((s, &va), &vb) in accf.iter_mut().zip(a).zip(b) {
+                *s = s.wrapping_add((va as i32 * wa).wrapping_add(vb as i32 * wb));
+            }
+        }
+    }
+    for (of, accf) in out.iter_mut().zip(&acc) {
+        for (o, &s) in of.iter_mut().zip(accf) {
+            *o += s as i64;
+        }
+    }
+}
+
+/// AVX2 strip: the two taps' 16-column strips are interleaved with
+/// `unpacklo/hi_epi16` so that one `madd_epi16` per filter and half
+/// computes `a·w_a + b·w_b` for eight columns. `madd` and `add_epi32`
+/// wrap modulo 2^32 (`madd`'s single overflow case, all four operands
+/// `i16::MIN`, included), so the segment bound makes the total exact.
+///
+/// # Safety
+///
+/// The CPU must support AVX2, and `act[base + off .. base + off + STRIP]`
+/// must be in bounds for every offset of every pair.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn strip_avx2(act: &[i16], base: usize, pairs: &[TapPair], out: &mut Block) {
+    use std::arch::x86_64::*;
+    let p = act.as_ptr().add(base);
+    // acc[2f] holds filter f's columns 0-3 | 8-11 (the unpacklo lanes),
+    // acc[2f + 1] its columns 4-7 | 12-15.
+    let mut acc = [_mm256_setzero_si256(); 2 * BLOCK_K];
+    for tp in pairs {
+        let a = _mm256_loadu_si256(p.add(tp.off[0]) as *const __m256i);
+        let b = _mm256_loadu_si256(p.add(tp.off[1]) as *const __m256i);
+        let lo = _mm256_unpacklo_epi16(a, b);
+        let hi = _mm256_unpackhi_epi16(a, b);
+        for f in 0..BLOCK_K {
+            let w = _mm256_set1_epi32(tp.w[f]);
+            acc[2 * f] = _mm256_add_epi32(acc[2 * f], _mm256_madd_epi16(lo, w));
+            acc[2 * f + 1] = _mm256_add_epi32(acc[2 * f + 1], _mm256_madd_epi16(hi, w));
+        }
+    }
+    for (f, of) in out.iter_mut().enumerate() {
+        let o = of.as_mut_ptr();
+        let (l, h) = (acc[2 * f], acc[2 * f + 1]);
+        for (col, v) in [
+            (0, _mm256_castsi256_si128(l)),
+            (4, _mm256_castsi256_si128(h)),
+            (8, _mm256_extracti128_si256::<1>(l)),
+            (12, _mm256_extracti128_si256::<1>(h)),
+        ] {
+            let dst = o.add(col) as *mut __m256i;
+            let sum = _mm256_add_epi64(_mm256_loadu_si256(dst), _mm256_cvtepi32_epi64(v));
+            _mm256_storeu_si256(dst, sum);
+        }
+    }
+}
+
+/// Computes the same convolution as [`conv2d`], bit-identically, with an
+/// output-stationary kernel; the inference engine uses it.
+///
+/// The imap is copied once into a zero-padded buffer whose rows are split
+/// into `stride` column phases, so every filter tap reads one contiguous
+/// 16-column strip at any stride. For each block of 4 filters × 16 output
+/// columns, every tap streams past i32 accumulators held in registers
+/// (AVX2 when the CPU has it, else a portable strip of the same
+/// algorithm). The taps are cut into segments whose i32 sums provably
+/// cannot overflow for this imap's largest magnitude, and each segment's
+/// sum is added into the i64 output, so the result is exact for every
+/// input.
 ///
 /// # Panics
 ///
@@ -102,6 +332,16 @@ pub fn conv2d_fast(
     fmaps: &Tensor4<i16>,
     bias: Option<&[i64]>,
     geom: ConvGeometry,
+) -> Tensor3<i64> {
+    conv2d_output_stationary(imap, fmaps, bias, geom, Strip::detect())
+}
+
+fn conv2d_output_stationary(
+    imap: &Tensor3<i16>,
+    fmaps: &Tensor4<i16>,
+    bias: Option<&[i64]>,
+    geom: ConvGeometry,
+    strip: Strip,
 ) -> Tensor3<i64> {
     let ishape = imap.shape();
     let fshape = fmaps.shape();
@@ -115,71 +355,63 @@ pub fn conv2d_fast(
         return omap;
     }
 
-    let pad = geom.pad as isize;
-    let stride = geom.stride;
-    let dil = geom.dilation as isize;
+    let (s, d, pad) = (geom.stride, geom.dilation, geom.pad);
+    let strips = oshape.w.div_ceil(STRIP);
+    // Padded rows, and columns per stride phase: enough that the last
+    // strip of the widest tap offset stays inside its phase row.
+    let hp = ishape.h + 2 * pad;
+    let wq = strips * STRIP + fshape.w.saturating_sub(1) * d / s;
+    let row_len = s * wq;
 
-    for n in 0..fshape.k {
-        if let Some(b) = bias {
-            let bn = b[n];
-            if bn != 0 {
-                let plane = omap.as_mut_slice();
-                let vol = oshape.h * oshape.w;
-                for v in &mut plane[n * vol..(n + 1) * vol] {
-                    *v = bn;
+    // Padded column x of row y lives in phase x % s at position x / s.
+    let mut act = vec![0i16; ishape.c * hp * row_len];
+    let mut amax = 0u64;
+    for c in 0..ishape.c {
+        for y in 0..ishape.h {
+            let src = imap.row(c, y);
+            amax = src.iter().fold(amax, |m, v| m.max(v.unsigned_abs() as u64));
+            let row = &mut act[(c * hp + y + pad) * row_len..][..row_len];
+            for (p, phase) in row.chunks_exact_mut(wq).enumerate() {
+                let q0 = pad.saturating_sub(p).div_ceil(s);
+                let x0 = p + q0 * s - pad;
+                if let (Some(dst), Some(src)) = (phase.get_mut(q0..), src.get(x0..)) {
+                    for (o, &v) in dst.iter_mut().zip(src.iter().step_by(s)) {
+                        *o = v;
+                    }
                 }
             }
         }
-        for c in 0..fshape.c {
-            for j in 0..fshape.h {
-                for i in 0..fshape.w {
-                    let w = *fmaps.at(n, c, j, i) as i64;
-                    if w == 0 {
-                        continue;
-                    }
-                    for oy in 0..oshape.h {
-                        let iy = oy as isize * stride as isize - pad + j as isize * dil;
-                        if iy < 0 || iy as usize >= ishape.h {
-                            continue;
-                        }
-                        let irow = imap.row(c, iy as usize);
-                        // Valid ox range: 0 <= ox*stride - pad + i*dil < W.
-                        let off = i as isize * dil - pad;
-                        let ox_lo = if off >= 0 {
-                            0
-                        } else {
-                            ((-off) as usize).div_ceil(stride)
-                        };
-                        let ox_hi_excl = {
-                            // largest ox with ox*stride + off <= W-1
-                            let lim = ishape.w as isize - 1 - off;
-                            if lim < 0 {
-                                0
-                            } else {
-                                (lim as usize / stride + 1).min(oshape.w)
-                            }
-                        };
-                        if ox_lo >= ox_hi_excl {
-                            continue;
-                        }
-                        let orow_start = oshape.index(n, oy, 0);
-                        let orow =
-                            &mut omap.as_mut_slice()[orow_start..orow_start + oshape.w];
-                        if stride == 1 {
-                            let ix0 = (ox_lo as isize + off) as usize;
-                            let icols = &irow[ix0..ix0 + (ox_hi_excl - ox_lo)];
-                            for (o, &a) in orow[ox_lo..ox_hi_excl].iter_mut().zip(icols) {
-                                *o += w * a as i64;
-                            }
-                        } else {
-                            for (ox, o) in
-                                orow.iter_mut().enumerate().take(ox_hi_excl).skip(ox_lo)
-                            {
-                                let ix = (ox as isize * stride as isize + off) as usize;
-                                *o += w * irow[ix] as i64;
-                            }
-                        }
-                    }
+    }
+    let plan = ConvPlan::new(fmaps, amax, |c, j, i| {
+        ((c * hp + j * d) * s + i * d % s) * wq + i * d / s
+    });
+    let last_base = (oshape.h - 1) * s * row_len + (strips - 1) * STRIP;
+    assert!(
+        plan.pairs.is_empty() || last_base + plan.max_off() + STRIP <= act.len(),
+        "strip read out of bounds"
+    );
+
+    let out = omap.as_mut_slice();
+    let mut block: Block = [[0; STRIP]; BLOCK_K];
+    for (kb, segments) in plan.blocks.iter().enumerate() {
+        let k0 = kb * BLOCK_K;
+        let kn = BLOCK_K.min(fshape.k - k0);
+        let block_bias: [i64; BLOCK_K] =
+            std::array::from_fn(|f| bias.and_then(|b| b.get(k0 + f).copied()).unwrap_or(0));
+        for oy in 0..oshape.h {
+            for sx in 0..strips {
+                for (of, &b) in block.iter_mut().zip(&block_bias) {
+                    *of = [b; STRIP];
+                }
+                let base = oy * s * row_len + sx * STRIP;
+                for seg in &plan.segments[segments.clone()] {
+                    strip.run(&act, base, &plan.pairs[seg.clone()], &mut block);
+                }
+                let x0 = sx * STRIP;
+                let xn = STRIP.min(oshape.w - x0);
+                for (f, of) in block.iter().enumerate().take(kn) {
+                    let o = oshape.index(k0 + f, oy, x0);
+                    out[o..o + xn].copy_from_slice(&of[..xn]);
                 }
             }
         }
@@ -365,28 +597,86 @@ mod tests {
         assert_eq!(out.as_slice(), &[-1, 0]);
     }
 
+    /// Every strip kernel this CPU runs: the portable one always, AVX2
+    /// when detected, so AVX2 hosts also exercise the fallback.
+    fn strips() -> Vec<Strip> {
+        #[allow(unused_mut)]
+        let mut strips = vec![Strip::Portable];
+        #[cfg(target_arch = "x86_64")]
+        if std::is_x86_feature_detected!("avx2") {
+            strips.push(Strip::Avx2);
+        }
+        strips
+    }
+
+    /// `n` deterministic values spread over `-range..=range`.
+    fn spread(n: usize, range: i32, salt: u64) -> Vec<i16> {
+        (0..n as u64)
+            .map(|i| {
+                let h = (i ^ salt).wrapping_mul(6364136223846793005) >> 33;
+                (h % (2 * range as u64 + 1)) as i32 - range
+            })
+            .map(|v| v.clamp(i16::MIN as i32, i16::MAX as i32) as i16)
+            .collect()
+    }
+
+    /// Asserts `conv2d_fast` and every strip kernel reproduce `conv2d`.
+    fn assert_fast_matches(
+        imap: &Tensor3<i16>,
+        fmaps: &Tensor4<i16>,
+        bias: Option<&[i64]>,
+        geom: ConvGeometry,
+    ) {
+        let want = conv2d(imap, fmaps, bias, geom);
+        let ctx = format!("imap {:?} fmaps {:?} {geom:?}", imap.shape(), fmaps.shape());
+        assert_eq!(conv2d_fast(imap, fmaps, bias, geom), want, "dispatched, {ctx}");
+        for strip in strips() {
+            let got = conv2d_output_stationary(imap, fmaps, bias, geom, strip);
+            assert_eq!(got, want, "{strip:?}, {ctx}");
+        }
+    }
+
     #[test]
     fn fast_conv_matches_reference_across_geometries() {
-        // Deterministic pseudo-random imap/filters; sweep geometry space.
-        let data: Vec<i16> = (0..4 * 9 * 11)
-            .map(|i| ((i * 2654435761u64 as usize) % 511) as i16 - 255)
-            .collect();
-        let imap = Tensor3::from_vec(4, 9, 11, data);
-        let wdata: Vec<i16> = (0..5 * 4 * 3 * 3)
-            .map(|i| ((i * 40503) % 201) as i16 - 100)
-            .collect();
-        let fmaps = Tensor4::from_vec(5, 4, 3, 3, wdata);
-        let bias: Vec<i64> = vec![5, -7, 0, 100, -1];
-        for stride in 1..=3usize {
-            for pad in 0..=2usize {
-                for dilation in 1..=2usize {
-                    let geom = ConvGeometry { stride, pad, dilation };
-                    let a = conv2d(&imap, &fmaps, Some(&bias), geom);
-                    let b = conv2d_fast(&imap, &fmaps, Some(&bias), geom);
-                    assert_eq!(a, b, "geom {geom:?}");
+        // Widths around the 16-column strip, partial filter blocks, every
+        // stride phase split up to 3 and dilations up to 4; small values
+        // fit one i32 segment, full-range values force cuts.
+        for (act_range, w_range) in [(255, 100), (32768, 32768)] {
+            for width in [1, 15, 16, 17, 33] {
+                let imap = Tensor3::from_vec(3, 7, width, spread(3 * 7 * width, act_range, 1));
+                for k in [1, 3, 5] {
+                    for (fh, fw) in [(3, 3), (1, 5)] {
+                        let fmaps =
+                            Tensor4::from_vec(k, 3, fh, fw, spread(k * 3 * fh * fw, w_range, 2));
+                        let bias: Vec<i64> = (0..k as i64).map(|n| 37 * n - 50).collect();
+                        for stride in 1..=3usize {
+                            for pad in 0..=2usize {
+                                for dilation in 1..=4usize {
+                                    let geom = ConvGeometry { stride, pad, dilation };
+                                    assert_fast_matches(&imap, &fmaps, Some(&bias), geom);
+                                }
+                            }
+                        }
+                    }
                 }
             }
         }
+    }
+
+    #[test]
+    fn fast_conv_is_exact_where_i32_sums_overflow() {
+        // 96 channels × 9 taps of (-2^15)·(-2^15) = 2^30: one output sums
+        // to 864 · 2^30, and no two taps fit one i32 segment.
+        let imap = Tensor3::filled(96, 5, 19, i16::MIN);
+        let fmaps = Tensor4::filled(5, 96, 3, 3, i16::MIN);
+        let plan = ConvPlan::new(&fmaps, 1 << 15, |_, _, _| 0);
+        assert_eq!(plan.blocks.len(), 2);
+        assert_eq!(plan.segments.len(), 2 * 96 * 9, "one tap per segment");
+        for geom in [ConvGeometry::unit(), ConvGeometry::same(3, 3), ConvGeometry::strided(2, 1)] {
+            assert_fast_matches(&imap, &fmaps, None, geom);
+        }
+        let o = conv2d_fast(&imap, &fmaps, None, ConvGeometry::unit());
+        assert_eq!(*o.at(4, 2, 16), 864 << 30);
     }
 
     #[test]

@@ -15,7 +15,8 @@
 //!   paper.
 //! * [`conv`] — a direct (sliding-window) reference convolution with exact
 //!   64-bit accumulation, the functional oracle against which differential
-//!   convolution is verified.
+//!   convolution is verified, and the bit-identical output-stationary
+//!   SIMD kernel that inference runs.
 //! * [`ops`] — ReLU, bias, pooling and the other per-element layer ops.
 //! * [`stats`] — magnitude percentiles and histograms used for profiled
 //!   precision detection and entropy measurements.
