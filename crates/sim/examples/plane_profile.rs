@@ -62,7 +62,7 @@ fn main() {
 
     // Stage 3: channel sum, position-blocked (per stream).
     const POS_BLOCK: usize = 4096;
-    let sum = timeit("channel_sum blocked (1 stream)", || {
+    timeit("channel_sum blocked (1 stream)", || {
         let mut sum = vec![0u32; plane_len];
         for (b, blk) in sum.chunks_mut(POS_BLOCK).enumerate() {
             let s0 = b * POS_BLOCK;
@@ -98,20 +98,6 @@ fn main() {
         cost
     });
 
-    // Stage 5: summed-area table (per plane).
-    timeit("summed_area (1 plane)", || {
-        let w1 = pw + 1;
-        let mut sat = vec![0u64; (ph + 1) * w1];
-        for y in 0..ph {
-            let mut row_acc = 0u64;
-            for x in 0..pw {
-                row_acc += sum[y * pw + x] as u64;
-                sat[(y + 1) * w1 + (x + 1)] = sat[y * w1 + (x + 1)] + row_acc;
-            }
-        }
-        sat
-    });
-
     // Candidate: channel sum with u16 block accumulator, widened once.
     timeit("channel_sum u16-block (1 stream)", || {
         let mut sum = vec![0u32; plane_len];
@@ -131,27 +117,6 @@ fn main() {
             }
         }
         sum
-    });
-
-    // Candidate: summed-area with split prefix/vertical loops.
-    timeit("summed_area split (1 plane)", || {
-        let w1 = pw + 1;
-        let mut sat = vec![0u64; (ph + 1) * w1];
-        for y in 0..ph {
-            let src = &sum[y * pw..(y + 1) * pw];
-            let (prev_rows, cur_rows) = sat.split_at_mut((y + 1) * w1);
-            let prev = &prev_rows[y * w1..];
-            let cur = &mut cur_rows[..w1];
-            let mut acc = 0u64;
-            for (d, &v) in cur[1..].iter_mut().zip(src) {
-                acc += v as u64;
-                *d = acc;
-            }
-            for (d, &p) in cur[1..].iter_mut().zip(&prev[1..]) {
-                *d += p;
-            }
-        }
-        sat
     });
 
     // End-to-end: the real build and group-reduce at full HD.
@@ -205,7 +170,7 @@ fn main() {
     drop(kept_group);
     drop(kept);
 
-    // Stage 6: the allocation cost itself.
+    // Stage 5: the allocation cost itself.
     timeit("alloc+zero 2x 33.3M u8", || {
         (vec![0u8; c * plane_len], vec![0u8; c * plane_len])
     });

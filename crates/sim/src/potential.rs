@@ -10,8 +10,12 @@
 //! * **RawE** — only the effectual terms of the raw activations.
 //! * **ΔE** — only the effectual terms of the deltas (leftmost window of
 //!   each row raw, as in Diffy's dataflow).
+//!
+//! Both effectual counts are read from the term planes' per-position
+//! channel sums, a whole output row of windows at a time, the way the
+//! term-serial kernel prices them.
 
-use crate::term_serial::PaddedTerms;
+use crate::term_serial::{PaddedTerms, WindowRows};
 use diffy_models::{LayerTrace, NetworkTrace};
 use diffy_tensor::ACT_BITS;
 
@@ -67,32 +71,25 @@ pub fn layer_potential(trace: &LayerTrace) -> Potential {
 ///
 /// Per window the three counters are whole-window integers the planes
 /// already hold: `ALL` is the fetch count times [`ACT_BITS`], and the
-/// effectual raw/delta totals are summed-area lookups over the
-/// channel-sum planes — identical integers to the element-wise
-/// accumulation, without re-walking `Kh·Kw·C` term fetches per window.
+/// effectual raw/delta totals come from row walks over the channel-sum
+/// planes — identical integers to the element-wise accumulation, without
+/// re-walking `Kh·Kw·C` term fetches per window.
 pub fn layer_potential_with_terms(trace: &LayerTrace, terms: &PaddedTerms) -> Potential {
     let ishape = trace.imap.shape();
     let fshape = trace.fmaps.shape();
     let out = trace.out_shape();
     let s = trace.geom.stride;
     let d = trace.geom.dilation;
-    let fetches_per_window = (fshape.h * fshape.w * ishape.c) as u64;
+    let fetches = (out.h * out.w) as u64 * (fshape.h * fshape.w * ishape.c) as u64;
+    let (raw_plane, delta_plane) = (terms.sum_plane(false), terms.sum_plane(true));
+    let mut rows = WindowRows::new(terms, fshape.h, fshape.w, s, d);
+    let row_total = |row: &[u32]| row.iter().map(|&t| t as u64).sum::<u64>();
 
-    let mut p = Potential::default();
+    let mut p = Potential { all_terms: fetches * ACT_BITS as u64, ..Potential::default() };
     for oy in 0..out.h {
-        let py0 = oy * s;
-        for ox in 0..out.w {
-            let use_delta = ox != 0;
-            let px0 = ox * s;
-            p.all_terms += fetches_per_window * ACT_BITS as u64;
-            let raw = terms.sum_window(false, py0, px0, fshape.h, fshape.w, d);
-            p.raw_terms += raw;
-            p.delta_terms += if use_delta {
-                terms.sum_window(true, py0, px0, fshape.h, fshape.w, d)
-            } else {
-                raw
-            };
-        }
+        p.raw_terms += row_total(rows.row(oy, raw_plane, raw_plane));
+        // The leftmost window of each row is processed raw.
+        p.delta_terms += row_total(rows.row(oy, delta_plane, raw_plane));
     }
     p
 }

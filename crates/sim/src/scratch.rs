@@ -1,7 +1,7 @@
 //! Thread-local recycling pools for the plane builders' backing stores.
 //!
 //! One cold term-serial evaluation at full HD allocates and frees on the
-//! order of 130 MiB of plane and summed-area buffers. Whether those pages
+//! order of 100 MB of plane buffers. Whether those pages
 //! survive to the next evaluation is up to the C allocator's adaptive
 //! mmap/trim thresholds — which depend on the *process's entire prior
 //! allocation history*, so two binaries running the identical kernel can
@@ -24,14 +24,12 @@
 use std::cell::RefCell;
 
 /// Per-pool retention caps. The byte budgets are sized to hold the full
-/// working set of one full-HD 16-channel layer (term planes ~66 MiB,
-/// sum/cost planes ~33 MiB, summed-area tables ~66 MiB) with headroom;
-/// the count cap bounds accumulation of small buffers from sweeps over
-/// many little layers.
+/// working set of one full-HD 16-channel layer (term planes ~66 MB,
+/// sum/cost planes ~33 MB) with headroom; the count cap bounds
+/// accumulation of small buffers from sweeps over many little layers.
 const MAX_VECS: usize = 64;
 const U8_CAP_BYTES: usize = 128 << 20;
 const U32_CAP_BYTES: usize = 64 << 20;
-const U64_CAP_BYTES: usize = 96 << 20;
 
 macro_rules! pool {
     ($take:ident, $put:ident, $tl:ident, $t:ty, $cap:expr) => {
@@ -76,7 +74,6 @@ macro_rules! pool {
 
 pool!(take_u8, put_u8, U8_POOL, u8, U8_CAP_BYTES);
 pool!(take_u32, put_u32, U32_POOL, u32, U32_CAP_BYTES);
-pool!(take_u64, put_u64, U64_POOL, u64, U64_CAP_BYTES);
 
 #[cfg(test)]
 mod tests {

@@ -18,14 +18,15 @@
 //! group-max-reduced per synchronization group — so the fast path reuses
 //! the [`PaddedTerms`] machinery wholesale with [`stripes_bits`] as the
 //! plane metric ([`PaddedTerms::build_with_metric`]). Precision planes
-//! are built **once per layer** with summed-area tables instead of the
-//! `Kh·Kw·C` per-window fetch walk the original loop performed;
+//! are built **once per layer** and priced a whole output row of windows
+//! at a time, as the term-serial kernel prices its planes, instead of
+//! the `Kh·Kw·C` per-window fetch walk the original loop performed;
 //! the original survives as [`stripes_layer_reference`] and the plane
 //! kernel is cross-validated against it for exact equality.
 
 use crate::config::AcceleratorConfig;
 use crate::report::{tile_partition, LayerCycles, NetworkCycles};
-use crate::term_serial::{PaddedTerms, ValueMode};
+use crate::term_serial::{PaddedTerms, ValueMode, WindowRows};
 use diffy_models::{LayerTrace, NetworkTrace};
 
 /// Bits needed for a signed value in the Stripes datapath (sign +
@@ -51,9 +52,8 @@ fn stripes_metric(values: &[i16], out: &mut [u8]) {
 }
 
 /// Builds the dynamic-precision planes of one layer: per-channel
-/// raw/delta precision, per-position channel sums with summed-area
-/// tables, and memoized group-max cost planes — the Stripes analogue of
-/// the Booth term planes.
+/// raw/delta precision, per-position channel sums, and memoized group-max
+/// cost planes — the Stripes analogue of the Booth term planes.
 pub fn stripes_planes(trace: &LayerTrace) -> PaddedTerms {
     PaddedTerms::build_with_metric(
         &trace.imap,
@@ -77,9 +77,10 @@ pub fn stripes_layer(trace: &LayerTrace, cfg: &AcceleratorConfig, mode: ValueMod
 
 /// The optimized Stripes kernel over prebuilt precision planes —
 /// bit-identical to [`stripes_layer_reference`], but each window costs
-/// O(1) summed-area lookups (dilation 1) instead of `Kh·Kw·C` activation
-/// fetches. Note Stripes dispatches pallets per output row (no packing
-/// across row boundaries), unlike the term-serial dispatcher.
+/// `Kh + Kw` vectorized adds of a row walk instead of `Kh·Kw·C`
+/// activation fetches. Note Stripes dispatches pallets per output row
+/// (no packing across row boundaries), unlike the term-serial
+/// dispatcher.
 pub fn stripes_layer_with_planes(
     trace: &LayerTrace,
     cfg: &AcceleratorConfig,
@@ -96,43 +97,14 @@ pub fn stripes_layer_with_planes(
     let mut cycles_per_pass: u64 = 0;
     let mut useful_bits: u64 = 0;
 
-    // Dense windows amortize the summed-area lookups per output row via
-    // the row-span prefixes (same trick as the term-serial walk, same
-    // integers); dilated geometries keep the direct window reads.
-    let dense = d == 1;
-    let spans_delta = mode == ValueMode::Differential;
-    let pw1 = planes.padded_dims().1 + 1;
-    let mut cost_spans = vec![0u64; if dense { pw1 } else { 0 }];
-    let mut sum_spans = vec![0u64; if dense { pw1 } else { 0 }];
+    let delta = mode == ValueMode::Differential;
+    let mut rows = WindowRows::new(planes, fshape.h, fshape.w, s, d);
     for oy in 0..out.h {
-        let py0 = oy * s;
-        if dense {
-            grouped.cost_row_spans(spans_delta, py0, fshape.h, &mut cost_spans);
-            planes.sum_row_spans(spans_delta, py0, fshape.h, &mut sum_spans);
-        }
-        let mut px0 = 0usize;
-        while px0 < out.w {
-            let pallet_end = (px0 + cfg.windows).min(out.w);
-            let mut pallet_max: u64 = 0;
-            for ox in px0..pallet_end {
-                let use_delta = mode == ValueMode::Differential && ox != 0;
-                let px = ox * s;
-                let (col, wnd) = if dense && use_delta == spans_delta {
-                    (
-                        cost_spans[px + fshape.w] - cost_spans[px],
-                        sum_spans[px + fshape.w] - sum_spans[px],
-                    )
-                } else {
-                    (
-                        grouped.cost_window(use_delta, py0, px, fshape.h, fshape.w, d),
-                        planes.sum_window(use_delta, py0, px, fshape.h, fshape.w, d),
-                    )
-                };
-                useful_bits += wnd;
-                pallet_max = pallet_max.max(col);
-            }
-            cycles_per_pass += pallet_max;
-            px0 = pallet_end;
+        let row_sums = rows.row(oy, planes.sum_plane(delta), planes.sum_plane(false));
+        useful_bits += row_sums.iter().map(|&b| b as u64).sum::<u64>();
+        let row_costs = rows.row(oy, grouped.cost_plane(delta), grouped.cost_plane(false));
+        for pallet in row_costs.chunks(cfg.windows) {
+            cycles_per_pass += pallet.iter().fold(0, |m, &c| m.max(c)) as u64;
         }
     }
 

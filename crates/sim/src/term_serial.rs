@@ -26,21 +26,21 @@
 //! instead of re-reducing `Kh·Kw·C` term fetches per window:
 //!
 //! * the per-channel raw/delta term planes (`u8`, as fetched by the
-//!   reference loop nest and the potential model);
-//! * per-position channel-sum planes plus their summed-area tables, so a
-//!   window's total term count is four lookups;
+//!   reference loop nest);
+//! * per-position channel-sum planes (`u32`);
 //! * per-`g` [`GroupPlanes`] — the chunk-max reduction collapsed into a
-//!   per-position cost plane with its own summed-area table, memoized per
-//!   synchronization group so `T_x` sweeps over one trace reuse the
-//!   expensive Booth pass.
+//!   per-position cost plane (`u32`), memoized per synchronization group
+//!   so `T_x` sweeps over one trace reuse the expensive Booth pass.
 //!
-//! With dilation 1 (any stride) a window's cost is O(1) via the summed
-//! area tables; dilated windows fall back to `Kh·Kw` plane lookups —
-//! still `C/g`-fold (16× at the paper's T16) less inner work than the
-//! reference. The reference loop nest survives as
-//! [`term_serial_layer_reference`] and the optimized kernel is
-//! cross-validated against it for exact cycle/slot equality (unit tests,
-//! `crates/sim/tests/proptests.rs`, `tests/tile_cross_validation.rs`).
+//! The tile takes windows in output-row order (§III-D), so the kernels
+//! price a whole output row of windows at a time: the `Kh` sampled plane
+//! rows are summed column by column, then `Kw` sampled columns of that
+//! sum give every window total of the row — two loops of independent
+//! lanes, the same for every stride and dilation, with totals in `u32`.
+//! The reference loop nest survives as [`term_serial_layer_reference`]
+//! and the optimized kernel is cross-validated against it for exact
+//! cycle/slot equality (unit tests, `crates/sim/tests/proptests.rs`,
+//! `tests/tile_cross_validation.rs`).
 
 use crate::config::AcceleratorConfig;
 use crate::report::{LayerCycles, NetworkCycles};
@@ -90,10 +90,6 @@ pub struct PaddedTerms {
     raw_sum: Vec<u32>,
     /// Per-position channel sums of `delta`.
     delta_sum: Vec<u32>,
-    /// Summed-area table of `raw_sum`, `(ph+1) × (pw+1)`.
-    raw_sum_sat: Vec<u64>,
-    /// Summed-area table of `delta_sum`.
-    delta_sum_sat: Vec<u64>,
     /// Group-reduced cost planes, memoized per synchronization group `g`.
     grouped: Mutex<HashMap<usize, Arc<GroupPlanes>>>,
 }
@@ -101,96 +97,116 @@ pub struct PaddedTerms {
 /// The group-reduced cost planes for one synchronization group size `g`:
 /// per padded position, the sum over channel chunks of each chunk's
 /// maximum term count — exactly the integer the reference loop nest
-/// accumulates per `(j, i)` brick step — for both value streams, with
-/// summed-area tables for O(1) dense-window evaluation.
+/// accumulates per `(j, i)` brick step — for both value streams.
 pub struct GroupPlanes {
     g: usize,
     pw: usize,
     raw_cost: Vec<u32>,
     delta_cost: Vec<u32>,
-    raw_cost_sat: Vec<u64>,
-    delta_cost_sat: Vec<u64>,
 }
 
-/// Sums `plane` over one filter window anchored at `(py0, px0)`.
+/// Prices one output row of filter windows at a time from a `u32`
+/// per-position plane (a channel-sum or a group-cost plane).
 ///
-/// Dilation 1 uses the summed-area table (four lookups, any stride);
-/// dilated windows walk the `kh × kw` sampled positions directly. Both
-/// paths compute the identical integer: addition over `u32` entries is
-/// exact in `u64` at any association.
-#[inline]
-#[allow(clippy::too_many_arguments)]
-fn window_total(
-    plane: &[u32],
-    sat: &[u64],
+/// For output row `oy` the `kh` sampled plane rows `py0, py0 + d, …`
+/// (`py0 = oy·stride`) are summed column by column into `col`; then `kw`
+/// sampled columns of `col` are summed for every window origin
+/// `px0 < PW − (kw − 1)·d`. Both loops run over independent lanes (they
+/// vectorize) with no loop-carried prefix sum, at any dilation; strided
+/// layers then keep every `stride`-th origin. Each total is the integer
+/// the reference loop nest accumulates for that window.
+pub(crate) struct WindowRows {
     pw: usize,
-    py0: usize,
-    px0: usize,
     kh: usize,
     kw: usize,
+    stride: usize,
     dilation: usize,
-) -> u64 {
-    if dilation == 1 {
-        let w1 = pw + 1;
-        (sat[(py0 + kh) * w1 + (px0 + kw)] + sat[py0 * w1 + px0])
-            - (sat[py0 * w1 + (px0 + kw)] + sat[(py0 + kh) * w1 + px0])
-    } else {
-        let mut total = 0u64;
-        for j in 0..kh {
-            let row = (py0 + j * dilation) * pw;
-            for i in 0..kw {
-                total += plane[row + px0 + i * dilation] as u64;
+    /// Output columns, `⌈origins / stride⌉`.
+    out_w: usize,
+    col: Vec<u32>,
+    /// One total per window origin of the row.
+    totals: Vec<u32>,
+}
+
+impl WindowRows {
+    /// A row walker for `kh × kw` windows at `stride` and `dilation` over
+    /// the planes of `terms`.
+    ///
+    /// # Panics
+    ///
+    /// If a window total could overflow `u32`. A plane entry is at most
+    /// `255·C` (a `u8` metric summed, or chunk-maximized and summed, over
+    /// `C` channels), so a window total is at most `kh·kw·255·C`.
+    pub(crate) fn new(
+        terms: &PaddedTerms,
+        kh: usize,
+        kw: usize,
+        stride: usize,
+        dilation: usize,
+    ) -> Self {
+        let bound = [kh, kw, 255, terms.c]
+            .into_iter()
+            .try_fold(1u32, |acc, n| u32::try_from(n).ok().and_then(|n| acc.checked_mul(n)));
+        assert!(
+            bound.is_some(),
+            "{kh}x{kw} windows over {} channels can overflow u32 window totals",
+            terms.c
+        );
+        let origins = (terms.pw + dilation).saturating_sub(kw * dilation);
+        Self {
+            pw: terms.pw,
+            kh,
+            kw,
+            stride,
+            dilation,
+            out_w: origins.div_ceil(stride),
+            col: vec![0; terms.pw],
+            totals: vec![0; origins],
+        }
+    }
+
+    /// The window totals of output row `oy` in dispatch order, one per
+    /// output column, priced from `plane` — except the leftmost window,
+    /// which Diffy processes raw (it has no left neighbour, §III-D) and
+    /// which is priced from `leftmost`. A raw walk passes its own plane
+    /// as `leftmost`.
+    pub(crate) fn row(&mut self, oy: usize, plane: &[u32], leftmost: &[u32]) -> &[u32] {
+        let (pw, d, out_w) = (self.pw, self.dilation, self.out_w);
+        if out_w == 0 {
+            return &[];
+        }
+        let py0 = oy * self.stride;
+        let col = &mut self.col;
+        col.copy_from_slice(&plane[py0 * pw..][..pw]);
+        for j in 1..self.kh {
+            for (c, &v) in col.iter_mut().zip(&plane[(py0 + j * d) * pw..][..pw]) {
+                *c += v;
             }
         }
-        total
-    }
-}
-
-/// Writes the vertical-span prefix row of a summed-area table:
-/// `out[x] = sat[py0+kh][x] - sat[py0][x]`, the sum of plane rows
-/// `py0..py0+kh` over columns `< x`. A window `[px0, px0+kw)` of that
-/// span is then `out[px0+kw] - out[px0]` — the same integer as the
-/// four-corner [`window_total`] lookup by associativity of exact `u64`
-/// sums, but row-major walks touch two sequential streams once per row
-/// instead of four scattered table reads per window.
-fn sat_row_spans(sat: &[u64], w1: usize, py0: usize, kh: usize, out: &mut [u64]) {
-    let top = &sat[py0 * w1..(py0 + 1) * w1];
-    let bot = &sat[(py0 + kh) * w1..(py0 + kh + 1) * w1];
-    for ((d, &b), &t) in out.iter_mut().zip(bot).zip(top) {
-        *d = b - t;
-    }
-}
-
-/// Builds the `(ph+1) × (pw+1)` summed-area table of a `ph × pw` plane
-/// into a pool-recycled buffer.
-///
-/// Split into two passes per row: the horizontal prefix sum (one
-/// loop-carried `u64` add per element) and a vertical add of the
-/// previous table row (independent lanes, vectorizes). The fused
-/// single-loop form chained both adds through one dependency and ran
-/// ~3× slower at full HD. Every entry is written explicitly (the zero
-/// top row and left column included), so a dirty recycled buffer is
-/// safe.
-fn summed_area(plane: &[u32], ph: usize, pw: usize) -> Vec<u64> {
-    let w1 = pw + 1;
-    let mut sat = scratch::take_u64((ph + 1) * w1);
-    sat[..w1].fill(0);
-    for y in 0..ph {
-        let src = &plane[y * pw..(y + 1) * pw];
-        let (prev_rows, cur_rows) = sat.split_at_mut((y + 1) * w1);
-        let prev = &prev_rows[y * w1..];
-        let cur = &mut cur_rows[..w1];
-        cur[0] = 0;
-        let mut acc = 0u64;
-        for (d, &v) in cur[1..].iter_mut().zip(src) {
-            acc += v as u64;
-            *d = acc;
+        let totals = &mut self.totals;
+        let n = totals.len();
+        totals.copy_from_slice(&col[..n]);
+        for i in 1..self.kw {
+            for (t, &v) in totals.iter_mut().zip(&col[i * d..i * d + n]) {
+                *t += v;
+            }
         }
-        for (d, &p) in cur[1..].iter_mut().zip(&prev[1..]) {
-            *d += p;
+        if self.stride > 1 {
+            for ox in 1..out_w {
+                totals[ox] = totals[ox * self.stride];
+            }
         }
+        // The leftmost window alone is summed directly, `kh·kw` reads.
+        let mut first = 0;
+        for j in 0..self.kh {
+            let src = &leftmost[(py0 + j * d) * pw..];
+            for i in 0..self.kw {
+                first += src[i * d];
+            }
+        }
+        totals[0] = first;
+        &totals[..out_w]
     }
-    sat
 }
 
 /// Worker count for the plane builders (available parallelism; 1 when
@@ -386,9 +402,9 @@ impl PaddedTerms {
 
     /// [`PaddedTerms::build`] under an arbitrary per-value plane metric —
     /// the machinery (padding, row delta, channel fan-out, channel sums,
-    /// summed-area tables, memoized group reductions) is metric-agnostic,
-    /// so other cost models (e.g. the Stripes dynamic-precision planes)
-    /// reuse it wholesale.
+    /// memoized group reductions) is metric-agnostic, so other cost
+    /// models (e.g. the Stripes dynamic-precision planes) reuse it
+    /// wholesale.
     pub fn build_with_metric<M: RowMetric + ?Sized>(
         imap: &diffy_tensor::Tensor3<i16>,
         pad: usize,
@@ -509,8 +525,6 @@ impl PaddedTerms {
                 }
             }
         }
-        let raw_sum_sat = summed_area(&raw_sum, ph, pw);
-        let delta_sum_sat = summed_area(&delta_sum, ph, pw);
         Self {
             c: s.c,
             ph,
@@ -519,8 +533,6 @@ impl PaddedTerms {
             delta,
             raw_sum,
             delta_sum,
-            raw_sum_sat,
-            delta_sum_sat,
             grouped: Mutex::new(HashMap::new()),
         }
     }
@@ -555,35 +567,14 @@ impl PaddedTerms {
         self.delta[c][py * self.pw + px] as u32
     }
 
-    /// Total term count of one filter window over all channels, for the
-    /// chosen stream — the slot-accounting integer of one window visit.
-    #[inline]
-    pub fn sum_window(
-        &self,
-        delta: bool,
-        py0: usize,
-        px0: usize,
-        kh: usize,
-        kw: usize,
-        dilation: usize,
-    ) -> u64 {
-        let (plane, sat) = if delta {
-            (&self.delta_sum, &self.delta_sum_sat)
+    /// The chosen stream's per-position channel sums (`ph × pw`,
+    /// row-major) — the plane [`WindowRows`] prices slot accounting from.
+    pub(crate) fn sum_plane(&self, delta: bool) -> &[u32] {
+        if delta {
+            &self.delta_sum
         } else {
-            (&self.raw_sum, &self.raw_sum_sat)
-        };
-        window_total(plane, sat, self.pw, py0, px0, kh, kw, dilation)
-    }
-
-    /// Vertical-span prefix of the chosen stream's sum plane over rows
-    /// `py0..py0+kh`: fills `out` (length `pw+1`) so that any
-    /// stride-1-dilation window `[px0, px0+kw)` of those rows equals
-    /// `out[px0+kw] - out[px0]` — bit-identical to [`Self::sum_window`].
-    /// Row-major walks amortize one sequential fill per output row
-    /// instead of four summed-area lookups per window.
-    pub fn sum_row_spans(&self, delta: bool, py0: usize, kh: usize, out: &mut [u64]) {
-        let sat = if delta { &self.delta_sum_sat } else { &self.raw_sum_sat };
-        sat_row_spans(sat, self.pw + 1, py0, kh, out);
+            &self.raw_sum
+        }
     }
 
     /// The group-reduced cost planes for synchronization group `g`,
@@ -598,34 +589,22 @@ impl PaddedTerms {
             let mut delta_cost = scratch::take_u32(plane_len);
             group_cost_into(&self.raw, g, &mut raw_cost);
             group_cost_into(&self.delta, g, &mut delta_cost);
-            let raw_cost_sat = summed_area(&raw_cost, self.ph, self.pw);
-            let delta_cost_sat = summed_area(&delta_cost, self.ph, self.pw);
-            Arc::new(GroupPlanes {
-                g,
-                pw: self.pw,
-                raw_cost,
-                delta_cost,
-                raw_cost_sat,
-                delta_cost_sat,
-            })
+            Arc::new(GroupPlanes { g, pw: self.pw, raw_cost, delta_cost })
         }))
     }
 }
 
 impl Drop for PaddedTerms {
-    /// Returns the plane and table buffers to the thread-local scratch
-    /// pool so the next build (same thread, any geometry that fits)
-    /// reuses resident pages instead of re-faulting fresh ones. The
-    /// memoized [`GroupPlanes`] recycle themselves when their last
-    /// `Arc` drops.
+    /// Returns the plane buffers to the thread-local scratch pool so the
+    /// next build (same thread, any geometry that fits) reuses resident
+    /// pages instead of re-faulting fresh ones. The memoized
+    /// [`GroupPlanes`] recycle themselves when their last `Arc` drops.
     fn drop(&mut self) {
         for v in self.raw.drain(..).chain(self.delta.drain(..)) {
             scratch::put_u8(v);
         }
         scratch::put_u32(std::mem::take(&mut self.raw_sum));
         scratch::put_u32(std::mem::take(&mut self.delta_sum));
-        scratch::put_u64(std::mem::take(&mut self.raw_sum_sat));
-        scratch::put_u64(std::mem::take(&mut self.delta_sum_sat));
     }
 }
 
@@ -634,8 +613,6 @@ impl Drop for GroupPlanes {
     fn drop(&mut self) {
         scratch::put_u32(std::mem::take(&mut self.raw_cost));
         scratch::put_u32(std::mem::take(&mut self.delta_cost));
-        scratch::put_u64(std::mem::take(&mut self.raw_cost_sat));
-        scratch::put_u64(std::mem::take(&mut self.delta_cost_sat));
     }
 }
 
@@ -645,41 +622,22 @@ impl GroupPlanes {
         self.g
     }
 
-    /// Synchronization cost of one filter window for the chosen stream:
-    /// the sum over its positions and channel chunks of each chunk's
-    /// maximum term count — the cycles one SIP column spends on it.
-    #[inline]
-    pub fn cost_window(
-        &self,
-        delta: bool,
-        py0: usize,
-        px0: usize,
-        kh: usize,
-        kw: usize,
-        dilation: usize,
-    ) -> u64 {
-        let (plane, sat) = if delta {
-            (&self.delta_cost, &self.delta_cost_sat)
+    /// The chosen stream's per-position cost plane (`ph × pw`,
+    /// row-major): per position, the sum over channel chunks of each
+    /// chunk's maximum term count — the plane [`WindowRows`] prices the
+    /// cycles one SIP column spends on a window from.
+    pub(crate) fn cost_plane(&self, delta: bool) -> &[u32] {
+        if delta {
+            &self.delta_cost
         } else {
-            (&self.raw_cost, &self.raw_cost_sat)
-        };
-        window_total(plane, sat, self.pw, py0, px0, kh, kw, dilation)
-    }
-
-    /// Vertical-span prefix of the chosen stream's cost plane over rows
-    /// `py0..py0+kh` — the [`PaddedTerms::sum_row_spans`] analogue for
-    /// synchronization costs, bit-identical to [`Self::cost_window`] at
-    /// dilation 1.
-    pub fn cost_row_spans(&self, delta: bool, py0: usize, kh: usize, out: &mut [u64]) {
-        let sat = if delta { &self.delta_cost_sat } else { &self.raw_cost_sat };
-        sat_row_spans(sat, self.pw + 1, py0, kh, out);
+            &self.raw_cost
+        }
     }
 
     /// Per-position cost at a padded position (test/diagnostic access).
     #[inline]
     pub fn cost_at(&self, delta: bool, py: usize, px: usize) -> u32 {
-        let plane = if delta { &self.delta_cost } else { &self.raw_cost };
-        plane[py * self.pw + px]
+        self.cost_plane(delta)[py * self.pw + px]
     }
 }
 
@@ -695,6 +653,7 @@ struct KernelGeometry {
 }
 
 fn kernel_geometry(trace: &LayerTrace, cfg: &AcceleratorConfig) -> KernelGeometry {
+    assert!(cfg.windows > 0, "a tile needs at least one window column");
     let fshape = trace.fmaps.shape();
     let out = trace.out_shape();
     let (passes, spatial) =
@@ -755,10 +714,10 @@ pub fn term_serial_layer(
 /// The optimized term-serial kernel over prebuilt term planes.
 ///
 /// Bit-identical to [`term_serial_layer_reference`] (cycles,
-/// `useful_slots`, `total_slots`, every field): per window it reads the
-/// same integers the reference reduces, just precomputed — O(1) lookups
-/// at dilation 1, `Kh·Kw` plane reads otherwise, versus the reference's
-/// `Kh·Kw·C` term fetches.
+/// `useful_slots`, `total_slots`, every field): per output row it sums
+/// the same integers the reference reduces, precomputed per position —
+/// about `Kh + Kw` vectorized adds per window at any stride and
+/// dilation, versus the reference's `Kh·Kw·C` term fetches.
 pub fn term_serial_layer_with_terms(
     trace: &LayerTrace,
     cfg: &AcceleratorConfig,
@@ -767,6 +726,8 @@ pub fn term_serial_layer_with_terms(
 ) -> LayerCycles {
     let geo = kernel_geometry(trace, cfg);
     let grouped = terms.grouped(cfg.terms_per_group);
+    let delta = mode == ValueMode::Differential;
+    let mut rows = WindowRows::new(terms, geo.kh, geo.kw, geo.stride, geo.dilation);
 
     let mut cycles_per_pass: u64 = 0;
     let mut window_terms: u64 = 0;
@@ -774,69 +735,26 @@ pub fn term_serial_layer_with_terms(
     // Windows are dispatched 16 (cfg.windows) at a time in row-major
     // order; the dispatcher packs pallets across row boundaries, so
     // narrow layers keep the full window-level parallelism.
-    let mut pallet_max: u64 = 0;
+    let mut pallet_max: u32 = 0;
     let mut pallet_fill = 0usize;
-    if geo.dilation == 1 {
-        // Dense windows: amortize the summed-area lookups over each
-        // output row. The row-span prefixes turn every window into two
-        // adjacent reads of a sequential buffer — the same integers the
-        // four-corner lookups produce, without the scattered table
-        // traffic. The one raw-stream window per differential row (ox =
-        // 0, no left neighbour) keeps the direct lookup.
-        let pw1 = terms.padded_dims().1 + 1;
-        let spans_delta = mode == ValueMode::Differential;
-        let mut cost_spans = vec![0u64; pw1];
-        let mut sum_spans = vec![0u64; pw1];
-        for oy in 0..geo.out.h {
-            let py0 = oy * geo.stride;
-            grouped.cost_row_spans(spans_delta, py0, geo.kh, &mut cost_spans);
-            terms.sum_row_spans(spans_delta, py0, geo.kh, &mut sum_spans);
-            for ox in 0..geo.out.w {
-                let px0 = ox * geo.stride;
-                let (col, wnd) = if spans_delta && ox == 0 {
-                    (
-                        grouped.cost_window(false, py0, px0, geo.kh, geo.kw, 1),
-                        terms.sum_window(false, py0, px0, geo.kh, geo.kw, 1),
-                    )
-                } else {
-                    (
-                        cost_spans[px0 + geo.kw] - cost_spans[px0],
-                        sum_spans[px0 + geo.kw] - sum_spans[px0],
-                    )
-                };
-                window_terms += wnd;
-                if col > pallet_max {
-                    pallet_max = col;
-                }
-                pallet_fill += 1;
-                if pallet_fill == cfg.windows {
-                    cycles_per_pass += pallet_max;
-                    pallet_max = 0;
-                    pallet_fill = 0;
-                }
+    for oy in 0..geo.out.h {
+        let row_sums = rows.row(oy, terms.sum_plane(delta), terms.sum_plane(false));
+        window_terms += row_sums.iter().map(|&t| t as u64).sum::<u64>();
+        // Top up the open pallet, then close every pallet the row fills.
+        let mut rest = rows.row(oy, grouped.cost_plane(delta), grouped.cost_plane(false));
+        while !rest.is_empty() {
+            let (head, tail) = rest.split_at((cfg.windows - pallet_fill).min(rest.len()));
+            pallet_max = head.iter().fold(pallet_max, |m, &c| m.max(c));
+            pallet_fill += head.len();
+            if pallet_fill == cfg.windows {
+                cycles_per_pass += pallet_max as u64;
+                pallet_max = 0;
+                pallet_fill = 0;
             }
-        }
-    } else {
-        for oy in 0..geo.out.h {
-            let py0 = oy * geo.stride;
-            for ox in 0..geo.out.w {
-                let use_delta = mode == ValueMode::Differential && ox != 0;
-                let px0 = ox * geo.stride;
-                let col = grouped.cost_window(use_delta, py0, px0, geo.kh, geo.kw, geo.dilation);
-                window_terms += terms.sum_window(use_delta, py0, px0, geo.kh, geo.kw, geo.dilation);
-                if col > pallet_max {
-                    pallet_max = col;
-                }
-                pallet_fill += 1;
-                if pallet_fill == cfg.windows {
-                    cycles_per_pass += pallet_max;
-                    pallet_max = 0;
-                    pallet_fill = 0;
-                }
-            }
+            rest = tail;
         }
     }
-    cycles_per_pass += pallet_max;
+    cycles_per_pass += pallet_max as u64;
 
     finish_layer(trace, cfg, &geo, cycles_per_pass, window_terms)
 }
@@ -1218,9 +1136,10 @@ mod tests {
 
     #[test]
     fn optimized_matches_reference_with_combined_stride_and_dilation() {
-        // Stride > 1 AND dilation > 1 in one geometry: the SAT fast path
-        // must not engage (dilation gates it), and the sampled-position
-        // fallback must price exactly the positions the reference visits.
+        // Stride > 1 AND dilation > 1 in one geometry: the window-row
+        // walk must sample rows and columns at the dilation and read
+        // origins at the stride — exactly the positions the reference
+        // visits.
         for (stride, dilation, pad) in [(2, 2, 2), (3, 2, 1), (2, 3, 3)] {
             let geom = ConvGeometry { stride, pad, dilation };
             let t = mk_trace(pseudo_imap(5, 14, 23, stride as u64 * 31 + dilation as u64), 8, 3, geom);
@@ -1260,13 +1179,20 @@ mod tests {
                     }
                 }
             }
-            for (kh, kw) in [(3, 3), (1, 2)] {
-                for py0 in 0..=ph - kh {
-                    for px0 in 0..=pw - kw {
-                        for delta in [false, true] {
-                            vals.push(terms.sum_window(delta, py0, px0, kh, kw, 1) as u32);
-                            vals.push(planes.cost_window(delta, py0, px0, kh, kw, 1) as u32);
-                        }
+            for (kh, kw, d) in [(3, 3, 1), (1, 2, 1), (5, 5, 1), (3, 3, 2), (2, 3, 2)] {
+                let mut rows = WindowRows::new(terms, kh, kw, 1, d);
+                for oy in 0..=ph - ((kh - 1) * d + 1) {
+                    for delta in [false, true] {
+                        vals.extend_from_slice(rows.row(
+                            oy,
+                            terms.sum_plane(delta),
+                            terms.sum_plane(false),
+                        ));
+                        vals.extend_from_slice(rows.row(
+                            oy,
+                            planes.cost_plane(delta),
+                            planes.cost_plane(false),
+                        ));
                     }
                 }
             }

@@ -39,6 +39,11 @@ fn cfg() -> AcceleratorConfig {
     AcceleratorConfig::table4()
 }
 
+/// Filter heights and widths from 1×1 up to AlexNet's 11×11.
+fn filter_side() -> impl Strategy<Value = usize> {
+    prop_oneof![Just(1usize), Just(3), Just(5), Just(7), Just(11)]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -118,11 +123,10 @@ proptest! {
     #[test]
     fn plane_kernel_matches_reference_on_random_geometries(
         c in 1usize..=5,
-        h in 8usize..=12,
-        w in 8usize..=14,
+        (dh, dw) in (0usize..=8, 0usize..=20),
         k in 1usize..=20,
-        f in 1usize..=3,
-        stride in 1usize..=3,
+        (fh, fw) in (filter_side(), filter_side()),
+        stride in 1usize..=4,
         pad in 0usize..=2,
         dilation in 1usize..=3,
         g in prop_oneof![Just(1usize), Just(2), Just(3), Just(16)],
@@ -132,9 +136,13 @@ proptest! {
         // bit-identical to the reference loop nest — full LayerCycles
         // equality (cycles, slots, macs) — on arbitrary combinations of
         // stride, padding, dilation, channel counts not divisible by the
-        // synchronization group, and narrow layers.
-        let span = (f - 1) * dilation + 1; // ≤ 7 ≤ h ≤ w, so out dims ≥ 1
-        prop_assert!(h + 2 * pad >= span && w + 2 * pad >= span);
+        // synchronization group, and narrow layers. Non-square filters up
+        // to 11×11 at strides up to 4 pin the row walk's origin count
+        // `PW − (Fw−1)·d` on AlexNet- and ResNet-style first layers
+        // (11×11 stride 4, 7×7 stride 2).
+        // The imap spans at least one dilated window, so out dims ≥ 1.
+        let h = (fh - 1) * dilation + 1 + dh;
+        let w = (fw - 1) * dilation + 1 + dw;
         let imap: Vec<i16> = (0..c * h * w)
             .map(|i| ((i as u64).wrapping_mul(6364136223846793005).wrapping_add(seed) >> 41) as i16)
             .collect();
@@ -142,7 +150,7 @@ proptest! {
             name: "geom".into(),
             index: 0,
             imap: Tensor3::from_vec(c, h, w, imap),
-            fmaps: Tensor4::filled(k, c, f, f, 1),
+            fmaps: Tensor4::filled(k, c, fh, fw, 1),
             geom: ConvGeometry { stride, pad, dilation },
             relu: true,
             requant_shift: 12,

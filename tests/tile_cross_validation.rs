@@ -49,8 +49,9 @@ fn tile_emulator_deltas_match_the_storage_transform() {
 fn plane_kernel_matches_reference_on_real_traces() {
     // The group-reduced plane kernel must reproduce the reference loop
     // nest's full cycle/slot accounting on real traced layers — IRCNN
-    // exercises dilated convolutions, which take the kernel's non-SAT
-    // fallback path — across value modes and synchronization groups.
+    // exercises dilated convolutions, whose row walks sample plane rows
+    // and columns at the dilation — across value modes and
+    // synchronization groups.
     let bundle =
         ci_trace_bundle(CiModel::Ircnn, DatasetId::Kodak24, 0, &WorkloadOptions::test_small());
     let configs = [
