@@ -12,8 +12,10 @@
 //!
 //! The constants were captured with the scalar i64 `conv2d_fast` loop nest
 //! and the per-group `Vec` footprint pass, before the output-stationary
-//! SIMD conv and the fused footprint pass replaced them. Neither rewrite
-//! may move a single digest. On a mismatch the test prints the full
+//! SIMD conv and the fused footprint pass replaced them. The RawD8 and
+//! RawD256 columns were captured with the portable fused pass, before the
+//! AVX2 footprint kernel: RawD8 stays on the portable path, RawD256 takes
+//! the kernel. No rewrite may move a single digest. On a mismatch the test prints the full
 //! computed table.
 
 use diffy::core::artifact::fnv1a64;
@@ -27,7 +29,7 @@ use diffy::tensor::Tensor3;
 
 /// The scheme choices whose traffic vectors are pinned, in column order
 /// after the tensor digest.
-fn schemes() -> [SchemeChoice; 7] {
+fn schemes() -> [SchemeChoice; 9] {
     [
         SchemeChoice::Scheme(StorageScheme::NoCompression),
         SchemeChoice::Profiled { quantile: 0.999 },
@@ -36,6 +38,8 @@ fn schemes() -> [SchemeChoice; 7] {
         SchemeChoice::Scheme(StorageScheme::delta_d(256)),
         SchemeChoice::Scheme(StorageScheme::Rle),
         SchemeChoice::Scheme(StorageScheme::RleZ),
+        SchemeChoice::Scheme(StorageScheme::raw_d(8)),
+        SchemeChoice::Scheme(StorageScheme::raw_d(256)),
     ]
 }
 
@@ -83,24 +87,24 @@ fn bundles() -> Vec<(String, TraceBundle)> {
 }
 
 /// `(trace, [tensors, NoCompression, Profiled{0.999}, RawD16, DeltaD16,
-/// DeltaD256, RLE, RLEz])`.
+/// DeltaD256, RLE, RLEz, RawD8, RawD256])`.
 #[rustfmt::skip]
-const FINGERPRINTS: [(&str, [u64; 8]); 7] = [
-    ("DnCNN@32", [0x7f81532f41f05881, 0x0b8f9c6405845341, 0xf2891d40c65b5f82, 0x004538659d9c4c5a, 0x02ac594699f616b4, 0xf773181bb6ca8101, 0xe04b9eccbdb0ec39, 0x3480ca90b6307363]),
-    ("FFDNet@32", [0x3ce025a04b162edc, 0xa4032f042b93b1ff, 0x518c558aa7ad45a9, 0xd4412ed4c91d7cb4, 0xb766785fcc8d0804, 0xb766785fcc8d0804, 0xf6ff6ed56b22d8dd, 0xc5c20716e898689e]),
-    ("IRCNN@32", [0x8544a98680309096, 0x05879e581b67d27c, 0x998c21cd3709b88f, 0xa36e35418ec5dbb9, 0xe0f9cd230b034c18, 0x2412c2b52b1633c3, 0xb02690d596b24b5f, 0x2c8ed7b628bf8682]),
-    ("JointNet@32", [0xe242fef384a6da75, 0x05020ba596ef34ec, 0xde207e43c2bec6d8, 0x390aa3f6c04f7293, 0x61ed531d7d00e1fc, 0x61ed531d7d00e1fc, 0xb516d0e258ddb1d0, 0xb57fd3fdcf522351]),
-    ("VDSR@32", [0x5ea20ad0125acf91, 0x0b8f9c6405845341, 0x8857830114088a9d, 0x77a7eb78b1feba3b, 0x35747c8de8ec95b1, 0x5005d839a182882e, 0x608d157c2557017f, 0xbe4d8fb2322e4249]),
-    ("ResNet18@64", [0xa8a673bc9f9e91a8, 0xec719276fd41a66b, 0x0986a38ddd31e8a9, 0x60d24392ae1159ba, 0x53f5b4fd0f80b003, 0xe4625eeafb7ea2de, 0x81d8e1ebea0b6b69, 0x5adc5115fb3e686b]),
-    ("AlexNet@64", [0x1ef93d6f9bf1d3c8, 0x5c8ae4ef8b9b66a4, 0xe22b769e09c3dccf, 0x88805dea2dc37d90, 0xe5ff4075cce70ea3, 0xdbec307099542b9e, 0x1e4bdf1a44aec0d6, 0xa7cb5418b1979509]),
+const FINGERPRINTS: [(&str, [u64; 10]); 7] = [
+    ("DnCNN@32", [0x7f81532f41f05881, 0x0b8f9c6405845341, 0xf2891d40c65b5f82, 0x004538659d9c4c5a, 0x02ac594699f616b4, 0xf773181bb6ca8101, 0xe04b9eccbdb0ec39, 0x3480ca90b6307363, 0x233a01f87d5536f6, 0x7bc4539ef3b62960]),
+    ("FFDNet@32", [0x3ce025a04b162edc, 0xa4032f042b93b1ff, 0x518c558aa7ad45a9, 0xd4412ed4c91d7cb4, 0xb766785fcc8d0804, 0xb766785fcc8d0804, 0xf6ff6ed56b22d8dd, 0xc5c20716e898689e, 0x7c8c3deb0ddd2669, 0xd4412ed4c91d7cb4]),
+    ("IRCNN@32", [0x8544a98680309096, 0x05879e581b67d27c, 0x998c21cd3709b88f, 0xa36e35418ec5dbb9, 0xe0f9cd230b034c18, 0x2412c2b52b1633c3, 0xb02690d596b24b5f, 0x2c8ed7b628bf8682, 0x5eb6f367a175280c, 0x1cf70a1020840589]),
+    ("JointNet@32", [0xe242fef384a6da75, 0x05020ba596ef34ec, 0xde207e43c2bec6d8, 0x390aa3f6c04f7293, 0x61ed531d7d00e1fc, 0x61ed531d7d00e1fc, 0xb516d0e258ddb1d0, 0xb57fd3fdcf522351, 0xb1c6d7156d2e2fea, 0x390aa3f6c04f7293]),
+    ("VDSR@32", [0x5ea20ad0125acf91, 0x0b8f9c6405845341, 0x8857830114088a9d, 0x77a7eb78b1feba3b, 0x35747c8de8ec95b1, 0x5005d839a182882e, 0x608d157c2557017f, 0xbe4d8fb2322e4249, 0xe999e9bddceaf8db, 0x57f3e0531b5670a7]),
+    ("ResNet18@64", [0xa8a673bc9f9e91a8, 0xec719276fd41a66b, 0x0986a38ddd31e8a9, 0x60d24392ae1159ba, 0x53f5b4fd0f80b003, 0xe4625eeafb7ea2de, 0x81d8e1ebea0b6b69, 0x5adc5115fb3e686b, 0x9ff45f1a503e4806, 0xfaba93ed5366ef6a]),
+    ("AlexNet@64", [0x1ef93d6f9bf1d3c8, 0x5c8ae4ef8b9b66a4, 0xe22b769e09c3dccf, 0x88805dea2dc37d90, 0xe5ff4075cce70ea3, 0xdbec307099542b9e, 0x1e4bdf1a44aec0d6, 0xa7cb5418b1979509, 0x212a6aa9b1b94728, 0xd97fbc1f1673c6c0]),
 ];
 
 #[test]
 fn inference_tensors_and_traffic_match_pinned_digests() {
-    let actual: Vec<(String, [u64; 8])> = bundles()
+    let actual: Vec<(String, [u64; 10])> = bundles()
         .into_iter()
         .map(|(name, b)| {
-            let mut row = [0u64; 8];
+            let mut row = [0u64; 10];
             row[0] = tensors_digest(&b.trace);
             for (slot, scheme) in row[1..].iter_mut().zip(schemes()) {
                 *slot = traffic_digest(&b.trace, scheme);
@@ -115,7 +119,7 @@ fn inference_tensors_and_traffic_match_pinned_digests() {
             format!("    (\"{name}\", [{}]),\n", cells.join(", "))
         })
         .collect();
-    let pinned: Vec<(String, [u64; 8])> =
+    let pinned: Vec<(String, [u64; 10])> =
         FINGERPRINTS.iter().map(|(n, r)| (n.to_string(), *r)).collect();
     assert_eq!(actual, pinned, "kernel fingerprint drift; computed table:\n{table}");
 }

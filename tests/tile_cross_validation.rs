@@ -9,8 +9,10 @@ use diffy::core::tile::{run_tile, TileConfig};
 use diffy::encoding::delta::delta_rows_wrapping;
 use diffy::imaging::datasets::DatasetId;
 use diffy::models::{CiModel, LayerTrace};
+use diffy::sim::potential::layer_potential;
+use diffy::sim::stripes::stripes_layer_reference;
 use diffy::sim::{
-    term_serial_layer, term_serial_layer_reference, AcceleratorConfig, ValueMode,
+    stripes_layer, term_serial_layer, term_serial_layer_reference, AcceleratorConfig, ValueMode,
 };
 use diffy::tensor::{ConvGeometry, Tensor3, Tensor4};
 
@@ -132,4 +134,56 @@ fn tile_emulator_cycles_match_the_analytical_model_on_real_layers() {
             layer.name
         );
     }
+}
+
+#[test]
+fn sync_group_and_tile_fingerprints_are_stable() {
+    // Pinned cycles of the fingerprint layer off the Table IV defaults:
+    // T4 and T1 split its 16 channels into 4 and 16 synchronization
+    // chunks, and one tile leaves every output row to a single tile.
+    // Both kernels must agree with each other and with the pins.
+    const FINGERPRINTS: [(&str, [u64; 2]); 3] =
+        [("T4", [3330, 3010]), ("T1", [10805, 11808]), ("1 tile", [3719, 3070])];
+    let t = fingerprint_layer();
+    let configs = [
+        AcceleratorConfig::table4().with_terms_per_group(4),
+        AcceleratorConfig::table4().with_terms_per_group(1),
+        AcceleratorConfig::table4().with_tiles(1),
+    ];
+    let actual: Vec<(&str, [u64; 2])> = FINGERPRINTS
+        .iter()
+        .zip(configs)
+        .map(|(&(what, _), cfg)| {
+            let cycles = [ValueMode::Raw, ValueMode::Differential].map(|mode| {
+                let optimized = term_serial_layer(&t, &cfg, mode);
+                let reference = term_serial_layer_reference(&t, &cfg, mode);
+                assert_eq!(optimized, reference, "{what} {mode:?}: kernels diverged");
+                optimized.cycles
+            });
+            (what, cycles)
+        })
+        .collect();
+    assert_eq!(actual, FINGERPRINTS, "fingerprint drift");
+}
+
+#[test]
+fn stripes_and_potential_fingerprints_are_stable() {
+    // The two other consumers of the term-plane builder, pinned on the
+    // same layer: Stripes' precision-plane cycles (Table IV, raw then
+    // differential) and the Fig. 4 potential's three term totals.
+    const STRIPES: [u64; 2] = [2520, 2520];
+    const POTENTIAL: (u64, u64, u64) = (2045952, 664850, 736697);
+    let t = fingerprint_layer();
+    let cfg = AcceleratorConfig::table4();
+    let stripes = [ValueMode::Raw, ValueMode::Differential].map(|mode| {
+        let fast = stripes_layer(&t, &cfg, mode);
+        assert_eq!(fast, stripes_layer_reference(&t, &cfg, mode), "{mode:?}: kernels diverged");
+        fast.cycles
+    });
+    let p = layer_potential(&t);
+    assert_eq!(
+        (stripes, (p.all_terms, p.raw_terms, p.delta_terms)),
+        (STRIPES, POTENTIAL),
+        "fingerprint drift"
+    );
 }
