@@ -19,9 +19,11 @@ use diffy_sim::{
 use std::sync::Arc;
 
 /// A per-layer source of prebuilt [`PaddedTerms`], shared across the
-/// evaluations of one trace so N architectures/configurations pay the
-/// expensive term-plane build once per layer (see `diffy_sim`'s
-/// group-reduced term planes). Must be callable from several workers.
+/// evaluations of one trace so N architectures, value modes and the
+/// selective ablation at one synchronization group pay the term-plane
+/// build once per layer. The planes must be built at the evaluated
+/// configuration's `terms_per_group`; the kernels assert it. Must be
+/// callable from several workers.
 pub type TermPlaneSource<'a> = &'a (dyn Fn(usize, &LayerTrace) -> Arc<PaddedTerms> + Sync);
 
 /// Activation storage scheme selection, including the paper's "Ideal"
@@ -199,7 +201,8 @@ pub type TrafficSource<'a> = &'a (dyn Fn() -> Arc<Vec<LayerTraffic>> + Sync);
 /// [`evaluate_network`] over optional shared artifact sources.
 ///
 /// The term-serial architectures (PRA, Diffy) draw each layer's
-/// [`PaddedTerms`] from `terms`, and the memory model draws the
+/// [`PaddedTerms`] from `terms` (built at `opts.cfg.terms_per_group`),
+/// and the memory model draws the
 /// storage-scheme traffic vector from `traffic`, so callers evaluating
 /// one trace many times amortize both builds. `None` builds the
 /// artifact fresh: planes once per layer per evaluation, traffic once
@@ -222,7 +225,7 @@ pub fn evaluate_network_with_artifacts(
         Some(source) => source(i, layer),
         None => {
             let _s = crate::trace::span_args("term_plane_build", || vec![("layer", i.into())]);
-            Arc::new(PaddedTerms::for_layer(layer))
+            Arc::new(PaddedTerms::for_layer_at(layer, opts.cfg.terms_per_group))
         }
     };
     let compute = {

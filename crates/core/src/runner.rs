@@ -286,7 +286,8 @@ impl From<SchemeChoice> for SchemeKey {
 /// Compute-once store for the expensive artifacts of a sweep: network
 /// weights keyed by `(model, seed)`, trace bundles keyed by
 /// `(model, dataset, sample, resolution, seed)`, per-layer term planes
-/// (`diffy_sim::PaddedTerms`) keyed by `(trace key, layer)`, and
+/// (`diffy_sim::PaddedTerms`) keyed by `(trace key, layer, sync group)`,
+/// and
 /// per-trace storage-scheme traffic vectors keyed by
 /// `(trace key, scheme)`.
 ///
@@ -305,7 +306,7 @@ impl From<SchemeChoice> for SchemeKey {
 pub struct SweepCache {
     weights: Cache<(CiModel, u64), NetworkWeights>,
     traces: Cache<TraceKey, TraceBundle>,
-    term_planes: Cache<(TraceKey, usize), PaddedTerms>,
+    term_planes: Cache<(TraceKey, usize, usize), PaddedTerms>,
     traffic: Cache<(TraceKey, SchemeKey), Vec<LayerTraffic>>,
     video_frames: Cache<(VideoSpec, usize), TraceBundle>,
     video_cycles: Cache<(VideoSpec, usize, VideoEval), NetworkCycles>,
@@ -470,17 +471,19 @@ impl SweepCache {
     }
 
     /// The term planes of layer `index` of the trace identified by
-    /// `key`, built at most once per `(key, index)` no matter how many
-    /// architectures, value modes or configurations evaluate the trace.
+    /// `key` at synchronization group `g`, built at most once per
+    /// `(key, index, g)` no matter how many architectures, value modes or
+    /// configurations at that group evaluate the trace.
     pub fn layer_terms(
         &self,
         key: TraceKey,
         index: usize,
         layer: &LayerTrace,
+        g: usize,
     ) -> Arc<PaddedTerms> {
-        get_or_build(&self.term_planes, "term_planes", (key, index), || {
+        get_or_build(&self.term_planes, "term_planes", (key, index, g), || {
             let _s = crate::trace::span_args("term_plane_build", || vec![("layer", index.into())]);
-            PaddedTerms::for_layer(layer)
+            PaddedTerms::for_layer_at(layer, g)
         })
     }
 
@@ -564,7 +567,8 @@ impl SweepCache {
     /// Evaluates `(model, dataset, sample)` under `eval`, drawing the
     /// bundle, every layer's term planes, **and** the scheme's traffic
     /// vector from this cache: a sweep that prices N architectures on one
-    /// trace pays the trace build and each plane build exactly once, and
+    /// trace at one synchronization group pays the trace build and each
+    /// plane build exactly once, and
     /// repeated evaluations under one scheme pay the traffic model once.
     /// Bit-identical to [`TraceBundle::evaluate`] on a fresh bundle.
     pub fn evaluate(
@@ -577,8 +581,8 @@ impl SweepCache {
     ) -> NetworkResult {
         let bundle = self.bundle(model, dataset, sample, opts);
         let key: TraceKey = (model, dataset, sample, opts.resolution, opts.seed);
-        let source =
-            |i: usize, layer: &LayerTrace| self.layer_terms(key, i, layer);
+        let g = eval.cfg.terms_per_group;
+        let source = |i: usize, layer: &LayerTrace| self.layer_terms(key, i, layer, g);
         let traffic = || self.traffic(key, &bundle.trace, eval.scheme);
         evaluate_network_with_artifacts(&bundle.trace, eval, Some(&source), Some(&traffic))
     }
@@ -945,6 +949,24 @@ mod tests {
         // A different trace key gets its own planes.
         cache.evaluate(CiModel::Ircnn, DatasetId::Cbsd68, 0, &opts, &diffy);
         assert_eq!(cache.cached_term_planes(), 2 * layers);
+    }
+
+    #[test]
+    fn term_planes_are_keyed_by_sync_group() {
+        // One trace evaluated at T16 and then at T4 holds two plane sets
+        // per layer, and each result equals a fresh evaluation.
+        let opts = WorkloadOptions::test_small();
+        let cache = SweepCache::new();
+        let bundle = cache.bundle(CiModel::Ircnn, DatasetId::Kodak24, 0, &opts);
+        let layers = bundle.trace.layers.len();
+        let fresh = ci_trace_bundle(CiModel::Ircnn, DatasetId::Kodak24, 0, &opts);
+        for (n, g) in [(1, 16), (2, 4)] {
+            let mut eval = EvalOptions::new(Architecture::Diffy, SchemeChoice::Ideal);
+            eval.cfg = eval.cfg.with_terms_per_group(g);
+            let cached = cache.evaluate(CiModel::Ircnn, DatasetId::Kodak24, 0, &opts, &eval);
+            assert_eq!(cache.cached_term_planes(), n * layers, "T{g}");
+            assert_eq!(cached, fresh.evaluate(&eval), "T{g}");
+        }
     }
 
     #[test]

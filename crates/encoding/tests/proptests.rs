@@ -19,11 +19,13 @@ fn small_tensor3() -> impl Strategy<Value = Tensor3<i16>> {
     })
 }
 
-/// Tensors of any width up to 40 (mostly not a multiple of the group
-/// sizes) whose values favour the 16-bit extremes, so rows often
-/// alternate `i16::MIN`/`i16::MAX` and their wrapping deltas wrap.
+/// Tensors of any width up to 600 (mostly not a multiple of the group
+/// sizes, often past the 256 values the AVX2 footprint kernel takes at a
+/// time at group 16, or the 512 of two 256-groups) whose values favour
+/// the 16-bit extremes, so rows often alternate `i16::MIN`/`i16::MAX` and
+/// their wrapping deltas wrap.
 fn extreme_tensor3() -> impl Strategy<Value = Tensor3<i16>> {
-    (1usize..=3, 1usize..=3, 1usize..=40).prop_flat_map(|(c, h, w)| {
+    (1usize..=3, 1usize..=3, prop_oneof![1usize..=40, 1usize..=600]).prop_flat_map(|(c, h, w)| {
         let v = prop_oneof![Just(i16::MIN), Just(i16::MAX), Just(0i16), any::<i16>()];
         proptest::collection::vec(v, c * h * w)
             .prop_map(move |data| Tensor3::from_vec(c, h, w, data))
@@ -31,23 +33,31 @@ fn extreme_tensor3() -> impl Strategy<Value = Tensor3<i16>> {
 }
 
 /// `tensor_bits` must equal the bits `encode_row` writes for every row,
-/// for every lossless scheme.
+/// for every lossless scheme, and so must every footprint path on every
+/// row: the dispatched `row_bits`, the portable loop, and the AVX2 kernel
+/// when the CPU has it. RawD and DeltaD run at groups 8 (portable only),
+/// 16, 32 and 256 (the kernel's full groups, the loop's partial last
+/// group) and 4.
 fn assert_tensor_bits_match_encoder(t: &Tensor3<i16>, sign: Signedness) {
     let s = t.shape();
-    for scheme in [
-        StorageScheme::NoCompression,
-        StorageScheme::raw_d(4),
-        StorageScheme::raw_d(16),
-        StorageScheme::raw_d(256),
-        StorageScheme::delta_d(16),
-        StorageScheme::delta_d(256),
-        StorageScheme::RleZ,
-        StorageScheme::Rle,
-    ] {
+    let dynamic = [4, 8, 16, 32, 256]
+        .into_iter()
+        .flat_map(|g| [StorageScheme::raw_d(g), StorageScheme::delta_d(g)]);
+    let schemes = [StorageScheme::NoCompression, StorageScheme::RleZ, StorageScheme::Rle];
+    for scheme in dynamic.chain(schemes) {
         let mut w = BitWriter::new();
         for c in 0..s.c {
             for y in 0..s.h {
-                scheme.encode_row(t.row(c, y), sign, &mut w);
+                let row = t.row(c, y);
+                let before = w.bit_len();
+                scheme.encode_row(row, sign, &mut w);
+                let bits = w.bit_len() - before;
+                let at = format!("{scheme} {sign:?} {s:?} row ({c}, {y})");
+                assert_eq!(scheme.row_bits(row, sign), bits, "dispatched: {at}");
+                assert_eq!(scheme.row_bits_portable(row, sign), bits, "portable: {at}");
+                if let Some(avx2) = scheme.row_bits_avx2(row, sign) {
+                    assert_eq!(avx2, bits, "avx2: {at}");
+                }
             }
         }
         assert_eq!(scheme.tensor_bits(t, sign), w.bit_len(), "{scheme} {sign:?} {:?}", s);
@@ -56,7 +66,7 @@ fn assert_tensor_bits_match_encoder(t: &Tensor3<i16>, sign: Signedness) {
 
 #[test]
 fn tensor_bits_match_encoder_on_alternating_extremes() {
-    for w in [1, 15, 17, 33, 257] {
+    for w in [1, 15, 16, 17, 33, 255, 256, 257, 1919, 1920, 1921] {
         let signed = Tensor3::from_vec(
             2,
             3,
@@ -66,6 +76,27 @@ fn tensor_bits_match_encoder_on_alternating_extremes() {
         assert_tensor_bits_match_encoder(&signed, Signedness::Signed);
         let unsigned = signed.map(|v| v & i16::MAX);
         assert_tensor_bits_match_encoder(&unsigned, Signedness::Unsigned);
+    }
+}
+
+#[test]
+fn tensor_bits_match_encoder_on_sparse_rows() {
+    // Mostly-zero rows leave whole groups at zero, where an unsigned
+    // group still stores one bit per value and a signed one a sign bit;
+    // a zero-valued row start checks the delta anchor at `row[-1] = 0`.
+    for w in [16, 255, 256, 257, 1919, 1920, 1921] {
+        for period in [3, 97, 700] {
+            let data = (0..6 * w)
+                .map(|i| match i % period {
+                    0 => i16::MAX,
+                    1 if period > 3 => i16::MIN,
+                    _ => 0,
+                })
+                .collect();
+            let signed = Tensor3::from_vec(2, 3, w, data);
+            assert_tensor_bits_match_encoder(&signed, Signedness::Signed);
+            assert_tensor_bits_match_encoder(&signed.map(|v| v & i16::MAX), Signedness::Unsigned);
+        }
     }
 }
 

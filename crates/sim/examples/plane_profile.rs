@@ -1,6 +1,9 @@
-//! Stage-by-stage wall-time profile of the term-plane build at full HD —
-//! a developer tool for attributing the cold-path cost (run with
-//! `cargo run --release -p diffy-sim --example plane_profile`).
+//! Stage-by-stage wall-time profile of the one-pass term-plane build at
+//! full HD — the row metric, the row staging, the row fold into the four
+//! `u32` planes, then the real build and a cold evaluation — a developer
+//! tool for attributing the cold-path cost (run with
+//! `cargo run --release -p diffy-sim --example plane_profile`). Run it
+//! under `taskset -c 0` to time the build as one band.
 
 use diffy_encoding::{booth_terms_slice, delta_row_wrapping_into};
 use diffy_models::trace::LayerTrace;
@@ -37,11 +40,15 @@ fn main() {
         .map(|i| ((i as u64).wrapping_mul(6364136223846793005) >> 48) as i16)
         .collect();
 
-    // Stage 1: metric kernel over both streams (raw + delta).
-    let mut u8planes = vec![0u8; c * plane_len];
-    timeit("metric raw+delta (2x 33.3M)", || {
-        booth_terms_slice(&vals, &mut u8planes);
-        booth_terms_slice(&vals, &mut u8planes);
+    // Stage 1: metric kernel over both streams (raw + delta), one padded
+    // row at a time into an L1-resident u8 row, as the build runs it.
+    let mut terms = vec![0u8; pw];
+    timeit("metric raw+delta (2x 33.3M, row-wise)", || {
+        for row in vals.chunks_exact(pw) {
+            booth_terms_slice(row, &mut terms);
+            booth_terms_slice(row, &mut terms);
+        }
+        terms[pw - 1]
     });
 
     // Stage 2: per-row staging (copy + wrapped delta).
@@ -49,77 +56,53 @@ fn main() {
     let mut drow = vec![0i16; pw];
     timeit("row stage copy+delta (33.3M rows)", || {
         let mut acc = 0i16;
-        for ch in 0..c {
-            for y in 0..ph {
-                let row = &vals[(ch * ph + y) * pw..(ch * ph + y + 1) * pw];
-                padded.copy_from_slice(row);
-                delta_row_wrapping_into(&padded, 1, &mut drow);
-                acc ^= drow[pw - 1];
-            }
+        for row in vals.chunks_exact(pw) {
+            padded.copy_from_slice(row);
+            delta_row_wrapping_into(&padded, 1, &mut drow);
+            acc ^= drow[pw - 1];
         }
         acc
     });
 
-    // Stage 3: channel sum, position-blocked (per stream).
-    const POS_BLOCK: usize = 4096;
-    timeit("channel_sum blocked (1 stream)", || {
-        let mut sum = vec![0u32; plane_len];
-        for (b, blk) in sum.chunks_mut(POS_BLOCK).enumerate() {
-            let s0 = b * POS_BLOCK;
-            let n = blk.len();
-            for ch in 0..c {
-                let base = ch * plane_len + s0;
-                for (dst, &t) in blk.iter_mut().zip(&u8planes[base..base + n]) {
-                    *dst += t as u32;
+    // Stage 3: the row fold of both streams — each channel's u8 terms
+    // added into u16 row sums and maximized into the open T16 chunk,
+    // the chunk closed into the row cost, and the four rows widened into
+    // u32 planes.
+    let row_terms: Vec<u8> = (0..c * pw).map(|i| (vals[i] & 7) as u8).collect();
+    let mut planes = [(); 4].map(|_| vec![0u32; plane_len]);
+    timeit("row fold T16 (2 streams, 4 planes)", || {
+        let (mut sum, mut cost) = (vec![0u16; pw], vec![0u16; pw]);
+        let mut max = vec![0u8; pw];
+        for py in 0..ph {
+            for _stream in 0..2 {
+                sum.fill(0);
+                cost.fill(0);
+                for (ch, t) in row_terms.chunks_exact(pw).enumerate() {
+                    for (a, &v) in sum.iter_mut().zip(t) {
+                        *a += v as u16;
+                    }
+                    if ch == 0 {
+                        max.copy_from_slice(t);
+                    } else {
+                        for (m, &v) in max.iter_mut().zip(t) {
+                            *m = (*m).max(v);
+                        }
+                    }
+                }
+                for (a, &m) in cost.iter_mut().zip(&max) {
+                    *a += m as u16;
+                }
+            }
+            for (plane, row) in planes.iter_mut().zip([&sum, &sum, &cost, &cost]) {
+                for (dst, &a) in plane[py * pw..][..pw].iter_mut().zip(row) {
+                    *dst = a as u32;
                 }
             }
         }
-        sum
+        planes[3][plane_len - 1]
     });
 
-    // Stage 4: group cost g=16, position-blocked (per stream).
-    timeit("group_cost g16 blocked (1 stream)", || {
-        let mut cost = vec![0u32; plane_len];
-        let mut chunk_max = [0u8; POS_BLOCK];
-        for (b, blk) in cost.chunks_mut(POS_BLOCK).enumerate() {
-            let s0 = b * POS_BLOCK;
-            let n = blk.len();
-            chunk_max[..n].fill(0);
-            for ch in 0..c {
-                let base = ch * plane_len + s0;
-                for (m, &t) in chunk_max[..n].iter_mut().zip(&u8planes[base..base + n]) {
-                    *m = (*m).max(t);
-                }
-            }
-            for (dst, &m) in blk.iter_mut().zip(&chunk_max[..n]) {
-                *dst += m as u32;
-            }
-        }
-        cost
-    });
-
-    // Candidate: channel sum with u16 block accumulator, widened once.
-    timeit("channel_sum u16-block (1 stream)", || {
-        let mut sum = vec![0u32; plane_len];
-        let mut acc16 = [0u16; POS_BLOCK];
-        for (b, blk) in sum.chunks_mut(POS_BLOCK).enumerate() {
-            let s0 = b * POS_BLOCK;
-            let n = blk.len();
-            acc16[..n].fill(0);
-            for ch in 0..c {
-                let base = ch * plane_len + s0;
-                for (dst, &t) in acc16[..n].iter_mut().zip(&u8planes[base..base + n]) {
-                    *dst += t as u16;
-                }
-            }
-            for (dst, &t) in blk.iter_mut().zip(&acc16[..n]) {
-                *dst = t as u32;
-            }
-        }
-        sum
-    });
-
-    // End-to-end: the real build and group-reduce at full HD.
+    // End-to-end: the real one-pass build at full HD, at T16 and T1.
     let imap = Tensor3::from_vec(
         c,
         1080,
@@ -128,16 +111,9 @@ fn main() {
             .map(|i| ((i as u64).wrapping_mul(6364136223846793005) >> 48) as i16)
             .collect(),
     );
-    timeit("PaddedTerms::build 1080p", || PaddedTerms::build(&imap, 1, 1));
-    timeit("build + grouped(16) 1080p", || {
-        let t = PaddedTerms::build(&imap, 1, 1);
-        t.grouped(16)
-    });
-    timeit("PaddedTerms::build 1080p (again)", || PaddedTerms::build(&imap, 1, 1));
-    timeit("build + grouped(16) 1080p (again)", || {
-        let t = PaddedTerms::build(&imap, 1, 1);
-        t.grouped(16)
-    });
+    timeit("PaddedTerms::build T16 1080p", || PaddedTerms::build(&imap, 1, 1, 16));
+    timeit("PaddedTerms::build T1 1080p", || PaddedTerms::build(&imap, 1, 1, 1));
+    timeit("PaddedTerms::build T16 1080p (again)", || PaddedTerms::build(&imap, 1, 1, 16));
 
     // The full cold evaluation the bench's `planes_cold` record times.
     let trace = LayerTrace {
@@ -160,21 +136,13 @@ fn main() {
     });
 
     // Same measurement with another full plane set held live, mimicking
-    // the bench harness (which keeps the shared planes alive across the
-    // cold-path records).
-    let kept = PaddedTerms::build(&imap, 1, 1);
-    let kept_group = kept.grouped(16);
+    // a sweep that keeps shared planes alive across cold evaluations.
+    let kept = PaddedTerms::build(&imap, 1, 1, 16);
     timeit("cold (raw), planes held live", || {
         term_serial_layer(&trace, &cfg, ValueMode::Raw)
     });
-    drop(kept_group);
     drop(kept);
 
-    // Stage 5: the allocation cost itself.
-    timeit("alloc+zero 2x 33.3M u8", || {
-        (vec![0u8; c * plane_len], vec![0u8; c * plane_len])
-    });
-    timeit("alloc+zero 2x 2M u32", || {
-        (vec![0u32; plane_len], vec![0u32; plane_len])
-    });
+    // Stage 4: the allocation cost itself.
+    timeit("alloc+zero 4x 2M u32", || [(); 4].map(|_| vec![0u32; plane_len]));
 }

@@ -46,6 +46,6 @@ pub use temporal::{temporal_network, TemporalMode};
 pub use term_serial::{
     selective_network, selective_network_with_terms, term_serial_layer,
     term_serial_layer_reference, term_serial_layer_with_terms, term_serial_network,
-    term_serial_network_with_terms, GroupPlanes, PaddedTerms, ValueMode,
+    term_serial_network_with_terms, PaddedTerms, ValueMode,
 };
 pub use vaa::{vaa_layer, vaa_network};

@@ -13,7 +13,8 @@
 //!
 //! Both effectual counts are read from the term planes' per-position
 //! channel sums, a whole output row of windows at a time, the way the
-//! term-serial kernel prices them.
+//! term-serial kernel prices them. The sums do not depend on the
+//! synchronization group, so planes built at any group serve.
 
 use crate::term_serial::{PaddedTerms, WindowRows};
 use diffy_models::{LayerTrace, NetworkTrace};
@@ -67,7 +68,8 @@ pub fn layer_potential(trace: &LayerTrace) -> Potential {
     layer_potential_with_terms(trace, &terms)
 }
 
-/// [`layer_potential`] over prebuilt term planes.
+/// [`layer_potential`] over prebuilt term planes, at any
+/// synchronization group.
 ///
 /// Per window the three counters are whole-window integers the planes
 /// already hold: `ALL` is the fetch count times [`ACT_BITS`], and the
@@ -106,6 +108,7 @@ pub fn network_potential(trace: &NetworkTrace) -> Potential {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use diffy_encoding::booth_terms;
     use diffy_tensor::{ConvGeometry, Tensor3, Tensor4};
 
     fn mk_trace(imap: Tensor3<i16>, f: usize) -> LayerTrace {
@@ -157,14 +160,28 @@ mod tests {
     }
 
     /// The original element-wise accumulation, kept as the oracle for the
-    /// plane-based fast path.
+    /// plane-based fast path: it counts each fetch's Booth terms from the
+    /// zero-padded value and its stride-distant delta.
     fn layer_potential_reference(trace: &LayerTrace) -> Potential {
         let ishape = trace.imap.shape();
         let fshape = trace.fmaps.shape();
         let out = trace.out_shape();
         let s = trace.geom.stride;
         let d = trace.geom.dilation;
-        let terms = PaddedTerms::for_layer(trace);
+        let pad = trace.geom.pad;
+        let fetch = |c: usize, py: usize, px: usize| -> i16 {
+            let inside = (pad..pad + ishape.h).contains(&py) && (pad..pad + ishape.w).contains(&px);
+            if inside {
+                *trace.imap.at(c, py - pad, px - pad)
+            } else {
+                0
+            }
+        };
+        let raw_at = |c, py, px| booth_terms(fetch(c, py, px)) as u64;
+        let delta_at = |c, py, px: usize| {
+            let prev = if px >= s { fetch(c, py, px - s) } else { 0 };
+            booth_terms(fetch(c, py, px).wrapping_sub(prev)) as u64
+        };
         let mut p = Potential::default();
         for oy in 0..out.h {
             for ox in 0..out.w {
@@ -175,12 +192,9 @@ mod tests {
                         let px = ox * s + i * d;
                         for c in 0..ishape.c {
                             p.all_terms += ACT_BITS as u64;
-                            p.raw_terms += terms.raw_at(c, py, px) as u64;
-                            p.delta_terms += if use_delta {
-                                terms.delta_at(c, py, px) as u64
-                            } else {
-                                terms.raw_at(c, py, px) as u64
-                            };
+                            p.raw_terms += raw_at(c, py, px);
+                            p.delta_terms +=
+                                if use_delta { delta_at(c, py, px) } else { raw_at(c, py, px) };
                         }
                     }
                 }

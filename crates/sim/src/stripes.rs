@@ -16,13 +16,15 @@
 //! The cost structure is the same shape as the term-serial model's — a
 //! per-value `u8` metric, summed per position over channels and
 //! group-max-reduced per synchronization group — so the fast path reuses
-//! the [`PaddedTerms`] machinery wholesale with [`stripes_bits`] as the
-//! plane metric ([`PaddedTerms::build_with_metric`]). Precision planes
-//! are built **once per layer** and priced a whole output row of windows
-//! at a time, as the term-serial kernel prices its planes, instead of
-//! the `Kh·Kw·C` per-window fetch walk the original loop performed;
-//! the original survives as [`stripes_layer_reference`] and the plane
-//! kernel is cross-validated against it for exact equality.
+//! the [`PaddedTerms`] one-pass row builder wholesale with
+//! [`stripes_bits`] as the plane metric
+//! ([`PaddedTerms::build_with_metric`]). Precision planes are built
+//! **once per layer** at the configuration's group and priced a whole
+//! output row of windows at a time, as the term-serial kernel prices its
+//! planes, instead of the `Kh·Kw·C` per-window fetch walk the original
+//! loop performed; the original survives as [`stripes_layer_reference`]
+//! and the plane kernel is cross-validated against it for exact
+//! equality.
 
 use crate::config::AcceleratorConfig;
 use crate::report::{tile_partition, LayerCycles, NetworkCycles};
@@ -51,14 +53,15 @@ fn stripes_metric(values: &[i16], out: &mut [u8]) {
     }
 }
 
-/// Builds the dynamic-precision planes of one layer: per-channel
-/// raw/delta precision, per-position channel sums, and memoized group-max
-/// cost planes — the Stripes analogue of the Booth term planes.
-pub fn stripes_planes(trace: &LayerTrace) -> PaddedTerms {
+/// Builds the dynamic-precision planes of one layer at synchronization
+/// group `g`: per-position raw/delta channel sums and group-max cost
+/// planes — the Stripes analogue of the Booth term planes.
+pub fn stripes_planes(trace: &LayerTrace, g: usize) -> PaddedTerms {
     PaddedTerms::build_with_metric(
         &trace.imap,
         trace.geom.pad,
         trace.geom.stride,
+        g,
         &stripes_metric,
     )
 }
@@ -71,7 +74,7 @@ pub fn stripes_planes(trace: &LayerTrace) -> PaddedTerms {
 /// Builds the layer's precision planes and delegates to
 /// [`stripes_layer_with_planes`].
 pub fn stripes_layer(trace: &LayerTrace, cfg: &AcceleratorConfig, mode: ValueMode) -> LayerCycles {
-    let planes = stripes_planes(trace);
+    let planes = stripes_planes(trace, cfg.terms_per_group);
     stripes_layer_with_planes(trace, cfg, mode, &planes)
 }
 
@@ -81,6 +84,10 @@ pub fn stripes_layer(trace: &LayerTrace, cfg: &AcceleratorConfig, mode: ValueMod
 /// activation fetches. Note Stripes dispatches pallets per output row
 /// (no packing across row boundaries), unlike the term-serial
 /// dispatcher.
+///
+/// # Panics
+///
+/// If `planes` was built at a group other than `cfg.terms_per_group`.
 pub fn stripes_layer_with_planes(
     trace: &LayerTrace,
     cfg: &AcceleratorConfig,
@@ -91,7 +98,7 @@ pub fn stripes_layer_with_planes(
     let out = trace.out_shape();
     let s = trace.geom.stride;
     let d = trace.geom.dilation;
-    let grouped = planes.grouped(cfg.terms_per_group);
+    planes.check_group(cfg);
 
     let (passes, spatial) = tile_partition(out.c, out.h, cfg.filters_per_tile, cfg.tiles);
     let mut cycles_per_pass: u64 = 0;
@@ -102,7 +109,7 @@ pub fn stripes_layer_with_planes(
     for oy in 0..out.h {
         let row_sums = rows.row(oy, planes.sum_plane(delta), planes.sum_plane(false));
         useful_bits += row_sums.iter().map(|&b| b as u64).sum::<u64>();
-        let row_costs = rows.row(oy, grouped.cost_plane(delta), grouped.cost_plane(false));
+        let row_costs = rows.row(oy, planes.cost_plane(delta), planes.cost_plane(false));
         for pallet in row_costs.chunks(cfg.windows) {
             cycles_per_pass += pallet.iter().fold(0, |m, &c| m.max(c)) as u64;
         }
@@ -295,7 +302,7 @@ mod tests {
     fn shared_planes_match_fresh_build() {
         let t = mk_trace(pseudo_imap(6, 7, 21, 11), 8, 3);
         let cfg = AcceleratorConfig::table4();
-        let planes = stripes_planes(&t);
+        let planes = stripes_planes(&t, cfg.terms_per_group);
         for mode in [ValueMode::Raw, ValueMode::Differential] {
             assert_eq!(
                 stripes_layer_with_planes(&t, &cfg, mode, &planes),
