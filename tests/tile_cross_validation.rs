@@ -7,12 +7,15 @@
 use diffy::core::runner::{ci_trace_bundle, WorkloadOptions};
 use diffy::core::tile::{run_tile, TileConfig};
 use diffy::encoding::delta::delta_rows_wrapping;
+use diffy::encoding::StorageScheme;
 use diffy::imaging::datasets::DatasetId;
+use diffy::memsys::traffic::{encoded_bytes, tensor_signedness};
 use diffy::models::{CiModel, LayerTrace};
 use diffy::sim::potential::layer_potential;
 use diffy::sim::stripes::stripes_layer_reference;
 use diffy::sim::{
-    stripes_layer, term_serial_layer, term_serial_layer_reference, AcceleratorConfig, ValueMode,
+    stripes_layer, term_serial_layer, term_serial_layer_reference, AcceleratorConfig,
+    LayerCycles, ValueMode,
 };
 use diffy::tensor::{ConvGeometry, Tensor3, Tensor4};
 
@@ -79,7 +82,13 @@ fn plane_kernel_matches_reference_on_real_traces() {
 /// The deterministic synthetic layer behind the cycle fingerprints: the
 /// same generator the micro-kernel bench uses, at a small fixed size.
 fn fingerprint_layer() -> LayerTrace {
-    let (c, h, w) = (16, 24, 37);
+    generated_layer(24, 37, ConvGeometry::same(3, 3))
+}
+
+/// A 16-channel `h × w` layer from the fingerprint generator, with 16
+/// 3×3 filters at `geom`.
+fn generated_layer(h: usize, w: usize, geom: ConvGeometry) -> LayerTrace {
+    let c = 16;
     let data: Vec<i16> = (0..c * h * w)
         .map(|i| ((i as u64).wrapping_mul(6364136223846793005) >> 48) as i16)
         .collect();
@@ -88,7 +97,7 @@ fn fingerprint_layer() -> LayerTrace {
         index: 0,
         imap: Tensor3::from_vec(c, h, w, data),
         fmaps: Tensor4::filled(16, c, 3, 3, 1),
-        geom: ConvGeometry::same(3, 3),
+        geom,
         relu: true,
         requant_shift: 12,
         requant_bias: 0,
@@ -186,4 +195,96 @@ fn stripes_and_potential_fingerprints_are_stable() {
         (STRIPES, POTENTIAL),
         "fingerprint drift"
     );
+}
+
+/// The pins of one large layer: term-serial `LayerCycles` (raw, then
+/// differential), Stripes cycles (raw, then differential), the three
+/// potential totals, and the imap's DeltaD16, RawD8, RawD16 and RawD256
+/// bytes.
+type LargePins = ([LayerCycles; 2], [u64; 2], [u64; 3], [u64; 4]);
+
+/// What the kernels compute on `t`, each checked against its reference
+/// first: the term-serial and Stripes kernels against their loop nests,
+/// the potential against the terms the term-serial reference counts,
+/// and the footprints against the portable loop summed row by row.
+fn large_layer_pins(t: &LayerTrace) -> LargePins {
+    let cfg = AcceleratorConfig::table4();
+    let modes = [ValueMode::Raw, ValueMode::Differential];
+    let term_serial = modes.map(|mode| {
+        let fast = term_serial_layer(t, &cfg, mode);
+        assert_eq!(fast, term_serial_layer_reference(t, &cfg, mode), "{mode:?}: kernels diverged");
+        fast
+    });
+    let stripes = modes.map(|mode| {
+        let fast = stripes_layer(t, &cfg, mode);
+        assert_eq!(fast, stripes_layer_reference(t, &cfg, mode), "{mode:?}: Stripes diverged");
+        fast.cycles
+    });
+    // The reference's useful slots are its window terms times K, and
+    // the potential's effectual totals are the same window terms.
+    let p = layer_potential(t);
+    let (out, f) = (t.out_shape(), t.fmaps.shape());
+    let fetches = (out.h * out.w * f.h * f.w * f.c) as u64;
+    let terms = term_serial.map(|r| r.useful_slots / out.c as u64);
+    assert_eq!(
+        (p.all_terms, p.raw_terms, p.delta_terms),
+        (fetches * 16, terms[0], terms[1]),
+        "potential diverged from the reference's terms"
+    );
+    let s = t.imap.shape();
+    let sign = tensor_signedness(&t.imap);
+    let schemes = [
+        StorageScheme::delta_d(16),
+        StorageScheme::raw_d(8),
+        StorageScheme::raw_d(16),
+        StorageScheme::raw_d(256),
+    ];
+    let bytes = schemes.map(|scheme| {
+        let got = encoded_bytes(&t.imap, scheme);
+        let rows = (0..s.c).flat_map(|c| (0..s.h).map(move |y| t.imap.row(c, y)));
+        let portable: u64 = rows.map(|row| scheme.row_bits_portable(row, sign)).sum();
+        assert_eq!(got, portable.div_ceil(8), "{scheme}: footprint diverged from portable loop");
+        got
+    });
+    (term_serial, stripes, [p.all_terms, p.raw_terms, p.delta_terms], bytes)
+}
+
+#[test]
+fn large_layer_fingerprints_are_stable() {
+    // A 16x541x957 layer from the fingerprint generator, at stride 1 and
+    // stride 2. Its plane build, footprints and window walks each read
+    // more than 2^20 values, so every stage splits into row bands on a
+    // multi-core host; at stride 2 `out_w` is 479, so pallets straddle
+    // output rows and band boundaries. The pins must hold at any band
+    // count, one included.
+    const fn cycles(cycles: u64, useful_slots: u64, total_slots: u64, macs: u64) -> LayerCycles {
+        let compute_events = useful_slots;
+        LayerCycles { cycles, useful_slots, total_slots, compute_events, filter_passes: 1, macs }
+    }
+    const BYTES: [u64; 4] = [16827264, 17086944, 16827264, 16584896];
+    const PINS: [LargePins; 2] = [
+        (
+            [
+                cycles(542399, 6481974176, 8886665216, 1192866048),
+                cycles(436920, 7144966736, 7158497280, 1192866048),
+            ],
+            [1167120, 1167120],
+            [1192866048, 405123386, 446560421],
+            BYTES,
+        ),
+        (
+            [
+                cycles(136274, 1622057984, 2232713216, 299079936),
+                cycles(109551, 1518514640, 1794883584, 299079936),
+            ],
+            [291960, 291960],
+            [299079936, 101378624, 94907165],
+            BYTES,
+        ),
+    ];
+    let actual: Vec<LargePins> = [ConvGeometry::same(3, 3), ConvGeometry::strided(2, 1)]
+        .into_iter()
+        .map(|geom| large_layer_pins(&generated_layer(541, 957, geom)))
+        .collect();
+    assert_eq!(actual, PINS, "fingerprint drift");
 }
