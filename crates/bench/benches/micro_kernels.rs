@@ -404,18 +404,14 @@ fn bench_term_serial(_c: &mut Criterion) {
     assert_eq!(bytes, bw.bit_len().div_ceil(8), "DeltaD16 footprint diverged from the encoder");
     records.push(rec);
     // The same footprint on the portable loop, the fallback and oracle of
-    // the AVX2 kernel the dispatched record runs on x86 with AVX2.
+    // the AVX2 kernel the dispatched record runs on x86 with AVX2, in the
+    // same row bands, so the pair isolates the kernel.
     let (rec, portable) = time_kernel(
         &format!("traffic_deltad16_portable_{h}p"),
         3,
         min_total,
         Some(tt.len() as u64),
-        || {
-            let rows = (0..16).flat_map(|c| (0..h).map(move |y| (c, y)));
-            let row_bits = |(c, y)| scheme.row_bits_portable(tt.row(c, y), Signedness::Signed);
-            let bits: u64 = black_box(rows).map(row_bits).sum();
-            bits.div_ceil(8)
-        },
+        || scheme.tensor_bits_portable(black_box(&tt), Signedness::Signed).div_ceil(8),
     );
     assert_eq!(portable, bytes, "portable DeltaD16 footprint diverged from the dispatched one");
     records.push(rec);
@@ -430,7 +426,7 @@ fn bench_term_serial(_c: &mut Criterion) {
         ("smoke", smoke.to_string()),
         (
             "host_parallelism",
-            std::thread::available_parallelism().map_or(1, |n| n.get()).to_string(),
+            diffy_tensor::bands::parallelism().to_string(),
         ),
         (
             "note",

@@ -42,10 +42,11 @@ impl Jobs {
         Self(NonZeroUsize::new(n).expect("job count must be at least 1"))
     }
 
-    /// One worker per available hardware thread (the `--jobs` default);
-    /// falls back to 1 if the platform cannot report parallelism.
+    /// One worker per available hardware thread (the `--jobs` default):
+    /// [`diffy_tensor::bands::parallelism`], the process's one core
+    /// count, which the row bands of a single evaluation also read.
     pub fn available() -> Self {
-        Self(std::thread::available_parallelism().unwrap_or(NonZeroUsize::MIN))
+        Self::new(diffy_tensor::bands::parallelism())
     }
 
     /// The worker count.

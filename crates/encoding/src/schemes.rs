@@ -21,12 +21,15 @@
 //! run through an AVX2 kernel when the CPU has it (runtime-detected, like
 //! the Booth counter and the inference conv); the portable loop counts
 //! every other group size, a row's partial last group and non-x86
-//! targets, and is the kernel's oracle.
+//! targets, and is the kernel's oracle. Because every row is encoded on
+//! its own, [`StorageScheme::tensor_bits`] splits a large tensor's `C·H`
+//! rows into row bands on the cores ([`diffy_tensor::bands`]) and sums
+//! their bits; either counter runs unchanged inside each band.
 
 use crate::bitstream::{BitReader, BitWriter};
 use crate::delta::{delta_slice_wrapping, undelta_slice_wrapping};
 use crate::precision::{value_bits, Signedness, GROUP_HEADER_BITS};
-use diffy_tensor::Tensor3;
+use diffy_tensor::{bands, Tensor3};
 use std::fmt;
 
 /// Bits per entry of the run-length schemes: a 16-bit value plus a 4-bit
@@ -111,17 +114,34 @@ impl StorageScheme {
     }
 
     /// Encoded size of a whole tensor in bits, encoding each `(c, y)` row
-    /// independently.
+    /// independently. A large tensor counts its `C·H` rows in row bands
+    /// ([`bands::count`] over its `C·H·W` values) and sums their bits.
     pub fn tensor_bits(&self, t: &Tensor3<i16>, signedness: Signedness) -> u64 {
-        let s = t.shape();
-        let path = Footprint::detect();
-        let mut total = 0;
-        for c in 0..s.c {
-            for y in 0..s.h {
-                total += self.row_bits_on(t.row(c, y), signedness, path);
-            }
-        }
-        total
+        self.tensor_bits_in_bands(t, signedness, Footprint::detect(), bands::count(t.len()))
+    }
+
+    /// [`StorageScheme::tensor_bits`] on the portable footprint loop,
+    /// whatever the CPU, in the same row bands.
+    #[doc(hidden)]
+    pub fn tensor_bits_portable(&self, t: &Tensor3<i16>, signedness: Signedness) -> u64 {
+        self.tensor_bits_in_bands(t, signedness, Footprint::Portable, bands::count(t.len()))
+    }
+
+    /// The tensor footprint with the `C·H` rows cut into `bands` row
+    /// bands, which may start mid-channel: every row is encoded on its
+    /// own, so the bands' bits add up to the rows' bits.
+    fn tensor_bits_in_bands(
+        &self,
+        t: &Tensor3<i16>,
+        signedness: Signedness,
+        path: Footprint,
+        bands: usize,
+    ) -> u64 {
+        let (s, values) = (t.shape(), t.as_slice());
+        let band_bits = bands::run_rows(s.c * s.h, bands, |rows| {
+            rows.map(|r| self.row_bits_on(&values[r * s.w..][..s.w], signedness, path)).sum::<u64>()
+        });
+        band_bits.into_iter().sum()
     }
 
     /// Encodes one row into `w`.
@@ -695,6 +715,52 @@ mod tests {
         let t = Tensor3::from_vec(2, 2, 4, (0..16).collect::<Vec<i16>>());
         let s = StorageScheme::NoCompression;
         assert_eq!(s.tensor_bits(&t, Signedness::Unsigned), 16 * 16);
+    }
+
+    #[test]
+    fn banded_tensor_bits_match_one_band() {
+        // 3 channels of 5 rows: 2, 4 and 7 bands of the 15 rows start
+        // mid-channel. A width of 301 leaves a partial last group at
+        // every group size.
+        let (c, h, w) = (3, 5, 301);
+        let hash = |i: usize| ((i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 50) as i16;
+        let signed = Tensor3::from_vec(c, h, w, (0..c * h * w).map(hash).collect());
+        let unsigned = signed.map(|v| v & 0x0FFF);
+        let paths = [Some(Footprint::Portable), Footprint::avx2()];
+        for scheme in [
+            StorageScheme::raw_d(8),
+            StorageScheme::raw_d(16),
+            StorageScheme::raw_d(256),
+            StorageScheme::delta_d(8),
+            StorageScheme::delta_d(16),
+            StorageScheme::delta_d(256),
+            StorageScheme::RleZ,
+        ] {
+            for (t, sign) in [(&signed, Signedness::Signed), (&unsigned, Signedness::Unsigned)] {
+                for path in paths.into_iter().flatten() {
+                    let one = scheme.tensor_bits_in_bands(t, sign, path, 1);
+                    let rows = (0..c).flat_map(|ch| (0..h).map(move |y| t.row(ch, y)));
+                    let row_bits: u64 = rows.map(|row| scheme.row_bits_on(row, sign, path)).sum();
+                    assert_eq!(one, row_bits, "{scheme} {sign:?} {path:?}");
+                    for bands in [2, 4, 7, c * h, c * h + 1, 4 * c * h] {
+                        let banded = scheme.tensor_bits_in_bands(t, sign, path, bands);
+                        assert_eq!(banded, one, "{scheme} {sign:?} {path:?} {bands} bands");
+                    }
+                }
+            }
+        }
+        for (c, h, w) in [(0, 4, 4), (2, 0, 4), (2, 3, 0)] {
+            let empty = Tensor3::<i16>::new(c, h, w);
+            for bands in [1, 2, 3] {
+                let bits = StorageScheme::delta_d(16).tensor_bits_in_bands(
+                    &empty,
+                    Signedness::Signed,
+                    Footprint::detect(),
+                    bands,
+                );
+                assert_eq!(bits, 0, "{c}x{h}x{w}, {bands} bands");
+            }
+        }
     }
 
     #[test]

@@ -5,6 +5,12 @@
 //! is the encoded imap size (read) plus the encoded omap size (write)
 //! plus the raw weight bytes. Group headers are included — these are the
 //! "metadata" Fig. 14 says must be taken into account.
+//!
+//! Every footprint comes from [`StorageScheme::tensor_bits`], which
+//! counts a tensor of at least 2^20 values in row bands on the cores
+//! (each `(c, y)` row is encoded on its own), so [`encoded_bytes`],
+//! [`network_traffic`] and [`network_traffic_profiled`] use both cores
+//! on a large tensor with no change of their own.
 
 use diffy_encoding::precision::Signedness;
 use diffy_encoding::StorageScheme;

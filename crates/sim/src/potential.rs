@@ -13,10 +13,12 @@
 //!
 //! Both effectual counts are read from the term planes' per-position
 //! channel sums, a whole output row of windows at a time, the way the
-//! term-serial kernel prices them. The sums do not depend on the
-//! synchronization group, so planes built at any group serve.
+//! term-serial kernel prices them, in the same row bands on a large
+//! layer; the potential only sums, so the bands add up. The sums do not
+//! depend on the synchronization group, so planes built at any group
+//! serve.
 
-use crate::term_serial::{PaddedTerms, WindowRows};
+use crate::term_serial::{walk_bands, walk_rows, PaddedTerms};
 use diffy_models::{LayerTrace, NetworkTrace};
 use diffy_tensor::ACT_BITS;
 
@@ -75,23 +77,38 @@ pub fn layer_potential(trace: &LayerTrace) -> Potential {
 /// already hold: `ALL` is the fetch count times [`ACT_BITS`], and the
 /// effectual raw/delta totals come from row walks over the channel-sum
 /// planes — identical integers to the element-wise accumulation, without
-/// re-walking `Kh·Kw·C` term fetches per window.
+/// re-walking `Kh·Kw·C` term fetches per window. Large layers walk
+/// their output rows in row bands, whose totals add up.
 pub fn layer_potential_with_terms(trace: &LayerTrace, terms: &PaddedTerms) -> Potential {
+    layer_potential_in_bands(trace, terms, walk_bands(trace, terms))
+}
+
+/// [`layer_potential_with_terms`] with the output rows walked in `bands`
+/// row bands.
+pub(crate) fn layer_potential_in_bands(
+    trace: &LayerTrace,
+    terms: &PaddedTerms,
+    bands: usize,
+) -> Potential {
     let ishape = trace.imap.shape();
     let fshape = trace.fmaps.shape();
     let out = trace.out_shape();
-    let s = trace.geom.stride;
-    let d = trace.geom.dilation;
     let fetches = (out.h * out.w) as u64 * (fshape.h * fshape.w * ishape.c) as u64;
     let (raw_plane, delta_plane) = (terms.sum_plane(false), terms.sum_plane(true));
-    let mut rows = WindowRows::new(terms, fshape.h, fshape.w, s, d);
     let row_total = |row: &[u32]| row.iter().map(|&t| t as u64).sum::<u64>();
 
+    let runs = walk_rows(trace, terms, bands, |rows, oys| {
+        let mut run = Potential::default();
+        for oy in oys {
+            run.raw_terms += row_total(rows.row(oy, raw_plane, raw_plane));
+            // The leftmost window of each row is processed raw.
+            run.delta_terms += row_total(rows.row(oy, delta_plane, raw_plane));
+        }
+        run
+    });
     let mut p = Potential { all_terms: fetches * ACT_BITS as u64, ..Potential::default() };
-    for oy in 0..out.h {
-        p.raw_terms += row_total(rows.row(oy, raw_plane, raw_plane));
-        // The leftmost window of each row is processed raw.
-        p.delta_terms += row_total(rows.row(oy, delta_plane, raw_plane));
+    for run in &runs {
+        p.merge(run);
     }
     p
 }
@@ -230,6 +247,20 @@ mod tests {
         ] {
             let t = mk(5, 12, 15, geom, salt);
             assert_eq!(layer_potential(&t), layer_potential_reference(&t), "{geom:?}");
+        }
+    }
+
+    #[test]
+    fn banded_walk_matches_one_band() {
+        use crate::term_serial::tests::{band_counts, banded_walk_layers};
+        for t in banded_walk_layers() {
+            let terms = PaddedTerms::for_layer(&t);
+            let one = layer_potential_in_bands(&t, &terms, 1);
+            assert_eq!(one, layer_potential_reference(&t), "{:?}", t.geom);
+            for bands in band_counts(&t) {
+                let banded = layer_potential_in_bands(&t, &terms, bands);
+                assert_eq!(banded, one, "{:?} {bands} bands", t.geom);
+            }
         }
     }
 

@@ -24,11 +24,13 @@
 //! planes, instead of the `Kh·Kw·C` per-window fetch walk the original
 //! loop performed; the original survives as [`stripes_layer_reference`]
 //! and the plane kernel is cross-validated against it for exact
-//! equality.
+//! equality. A large layer builds its planes and walks its output rows
+//! in the term-serial kernel's row bands; Stripes closes every pallet
+//! within its output row, so the bands' cycles and bits simply add up.
 
 use crate::config::AcceleratorConfig;
 use crate::report::{tile_partition, LayerCycles, NetworkCycles};
-use crate::term_serial::{PaddedTerms, ValueMode, WindowRows};
+use crate::term_serial::{walk_bands, walk_rows, PaddedTerms, ValueMode};
 use diffy_models::{LayerTrace, NetworkTrace};
 
 /// Bits needed for a signed value in the Stripes datapath (sign +
@@ -83,7 +85,7 @@ pub fn stripes_layer(trace: &LayerTrace, cfg: &AcceleratorConfig, mode: ValueMod
 /// `Kh + Kw` vectorized adds of a row walk instead of `Kh·Kw·C`
 /// activation fetches. Note Stripes dispatches pallets per output row
 /// (no packing across row boundaries), unlike the term-serial
-/// dispatcher.
+/// dispatcher, so row bands of a large layer just add up.
 ///
 /// # Panics
 ///
@@ -94,26 +96,38 @@ pub fn stripes_layer_with_planes(
     mode: ValueMode,
     planes: &PaddedTerms,
 ) -> LayerCycles {
+    stripes_layer_in_bands(trace, cfg, mode, planes, walk_bands(trace, planes))
+}
+
+/// [`stripes_layer_with_planes`] with the output rows walked in `bands`
+/// row bands, whose useful bits and cycles add up.
+pub(crate) fn stripes_layer_in_bands(
+    trace: &LayerTrace,
+    cfg: &AcceleratorConfig,
+    mode: ValueMode,
+    planes: &PaddedTerms,
+    bands: usize,
+) -> LayerCycles {
     let fshape = trace.fmaps.shape();
     let out = trace.out_shape();
-    let s = trace.geom.stride;
-    let d = trace.geom.dilation;
     planes.check_group(cfg);
 
     let (passes, spatial) = tile_partition(out.c, out.h, cfg.filters_per_tile, cfg.tiles);
-    let mut cycles_per_pass: u64 = 0;
-    let mut useful_bits: u64 = 0;
-
     let delta = mode == ValueMode::Differential;
-    let mut rows = WindowRows::new(planes, fshape.h, fshape.w, s, d);
-    for oy in 0..out.h {
-        let row_sums = rows.row(oy, planes.sum_plane(delta), planes.sum_plane(false));
-        useful_bits += row_sums.iter().map(|&b| b as u64).sum::<u64>();
-        let row_costs = rows.row(oy, planes.cost_plane(delta), planes.cost_plane(false));
-        for pallet in row_costs.chunks(cfg.windows) {
-            cycles_per_pass += pallet.iter().fold(0, |m, &c| m.max(c)) as u64;
+    let runs = walk_rows(trace, planes, bands, |rows, oys| {
+        let (mut useful_bits, mut cycles) = (0u64, 0u64);
+        for oy in oys {
+            let row_sums = rows.row(oy, planes.sum_plane(delta), planes.sum_plane(false));
+            useful_bits += row_sums.iter().map(|&b| b as u64).sum::<u64>();
+            let row_costs = rows.row(oy, planes.cost_plane(delta), planes.cost_plane(false));
+            for pallet in row_costs.chunks(cfg.windows) {
+                cycles += pallet.iter().fold(0, |m, &c| m.max(c)) as u64;
+            }
         }
-    }
+        (useful_bits, cycles)
+    });
+    let useful_bits: u64 = runs.iter().map(|r| r.0).sum();
+    let cycles_per_pass: u64 = runs.iter().map(|r| r.1).sum();
 
     let cycles = (cycles_per_pass * passes).div_ceil(spatial);
     let lane_capacity = (cfg.lanes * cfg.windows * cfg.filters_per_tile * cfg.tiles) as u64;
@@ -293,6 +307,25 @@ mod tests {
                     let fast = stripes_layer(&t, &cfg, mode);
                     let reference = stripes_layer_reference(&t, &cfg, mode);
                     assert_eq!(fast, reference, "salt {salt} g {g} mode {mode:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn banded_walk_matches_one_band() {
+        use crate::term_serial::tests::{band_counts, banded_walk_layers};
+        for t in banded_walk_layers() {
+            for g in [1, 16] {
+                let cfg = AcceleratorConfig::table4().with_terms_per_group(g);
+                let planes = stripes_planes(&t, g);
+                for mode in [ValueMode::Raw, ValueMode::Differential] {
+                    let one = stripes_layer_in_bands(&t, &cfg, mode, &planes, 1);
+                    assert_eq!(one, stripes_layer_reference(&t, &cfg, mode), "T{g} {mode:?}");
+                    for bands in band_counts(&t) {
+                        let banded = stripes_layer_in_bands(&t, &cfg, mode, &planes, bands);
+                        assert_eq!(banded, one, "{:?} T{g} {mode:?} {bands} bands", t.geom);
+                    }
                 }
             }
         }

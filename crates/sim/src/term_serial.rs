@@ -39,14 +39,29 @@
 //! optimized kernel is cross-validated against it for exact cycle/slot
 //! equality (unit tests, `crates/sim/tests/proptests.rs`,
 //! `tests/tile_cross_validation.rs`).
+//!
+//! # Row bands
+//!
+//! Both stages are row work, so a large layer spreads them over the
+//! cores through [`diffy_tensor::bands`]. The build splits its padded
+//! rows when it reads at least 2^20 metric values (`C·PH·PW`); a plane
+//! row depends only on its own imap rows. The walk splits its output
+//! rows when it reads at least 2^20 plane entries (`2·OH·Fh·PW`), each
+//! band on its own `WindowRows`. Pallets pack windows across row
+//! boundaries, so a band starts inside the pallet the bands before it
+//! left open, at fill `(oy0·OW) mod windows`; it reports that pallet's
+//! maximum apart from the pallets it closes, and a left-to-right fold
+//! closes each straddling pallet at the maximum of both sides. The
+//! Stripes and potential kernels walk the same bands and add them up.
 
 use crate::config::AcceleratorConfig;
 use crate::report::{LayerCycles, NetworkCycles};
 use crate::scratch;
 use diffy_encoding::{booth_terms, booth_terms_slice, delta_row_wrapping_into};
 use diffy_models::{LayerTrace, NetworkTrace};
-use std::ops::Add;
-use std::sync::{Arc, OnceLock};
+use diffy_tensor::bands;
+use std::ops::{Add, Range};
+use std::sync::Arc;
 
 /// Which value stream the SIP lanes consume.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -94,6 +109,7 @@ pub struct PaddedTerms {
 /// vectorize) with no loop-carried prefix sum, at any dilation; strided
 /// layers then keep every `stride`-th origin. Each total is the integer
 /// the reference loop nest accumulates for that window.
+#[derive(Clone)]
 pub(crate) struct WindowRows {
     pw: usize,
     kh: usize,
@@ -188,15 +204,30 @@ impl WindowRows {
     }
 }
 
-/// Worker count for the plane builder (available parallelism; 1 when
-/// the platform cannot report it). Queried from the OS exactly once —
-/// `available_parallelism` reads cgroup/affinity state on every call,
-/// which used to show up on every plane build.
-fn parallelism() -> usize {
-    static PAR: OnceLock<usize> = OnceLock::new();
-    *PAR.get_or_init(|| {
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-    })
+/// The band count of a window walk over `trace`'s output rows through
+/// [`bands::count`]: each output row reads `Fh` sampled rows of two
+/// planes, so the walk reads `2·OH·Fh·PW` plane entries.
+pub(crate) fn walk_bands(trace: &LayerTrace, terms: &PaddedTerms) -> usize {
+    bands::count(2 * trace.out_shape().h * trace.fmaps.shape().h * terms.pw)
+}
+
+/// Walks `trace`'s output rows over the planes of `terms` in `bands`
+/// contiguous row bands ([`bands::run_rows`]), each band on its own
+/// [`WindowRows`], and returns each band's `walk(rows, oys)` in band
+/// order.
+pub(crate) fn walk_rows<R, F>(
+    trace: &LayerTrace,
+    terms: &PaddedTerms,
+    bands: usize,
+    walk: F,
+) -> Vec<R>
+where
+    R: Send,
+    F: Fn(&mut WindowRows, Range<usize>) -> R + Sync,
+{
+    let f = trace.fmaps.shape();
+    let rows = WindowRows::new(terms, f.h, f.w, trace.geom.stride, trace.geom.dilation);
+    bands::run_rows(trace.out_shape().h, bands, |oys| walk(&mut rows.clone(), oys))
 }
 
 /// A per-value plane metric lifted to whole rows: `metric(values, out)`
@@ -222,11 +253,6 @@ impl<F: Fn(&[i16], &mut [u8]) + Sync> RowMetric for F {
 fn booth_metric(values: &[i16], out: &mut [u8]) {
     booth_terms_slice(values, out);
 }
-
-/// Plane size (`C·PH·PW` metric values) from which the builder splits
-/// its rows into [`parallelism`] bands on scoped threads. Smaller layers
-/// run as one band — a thread spawn costs more than their build.
-const PAR_BUILD_THRESHOLD: usize = 1 << 20;
 
 /// A row accumulator lane of the plane build: `u16` while every sum fits
 /// (`255·256 < 2^16`, so up to 256 channels), `u32` above.
@@ -402,9 +428,9 @@ impl PaddedTerms {
     /// bands) is metric-agnostic, so other cost models (e.g. the Stripes
     /// dynamic-precision planes) reuse it wholesale.
     ///
-    /// Large imaps split their padded rows into one band per available
-    /// core on scoped threads. Every row depends only on its own imap
-    /// rows, so any band count builds identical planes.
+    /// The padded rows split into row bands ([`bands::count`] over the
+    /// `C·PH·PW` metric values the build reads). Every row depends only
+    /// on its own imap rows, so any band count builds identical planes.
     pub fn build_with_metric<M: RowMetric + ?Sized>(
         imap: &diffy_tensor::Tensor3<i16>,
         pad: usize,
@@ -413,38 +439,29 @@ impl PaddedTerms {
         metric: &M,
     ) -> Self {
         let s = imap.shape();
-        let ph = s.h + 2 * pad;
-        let large = s.c * ph * (s.w + 2 * pad) >= PAR_BUILD_THRESHOLD;
-        let bands = if large { parallelism() } else { 1 };
+        let bands = bands::count(s.c * (s.h + 2 * pad) * (s.w + 2 * pad));
         Self::build_in_bands(&PlaneSource { imap, pad, stride, g, metric }, bands)
     }
 
     /// The one plane build: the padded rows split into `bands`
-    /// contiguous bands, all but the first on scoped threads.
+    /// contiguous bands of [`bands::rows_per`] rows, each band writing
+    /// its own rows of the four planes.
     fn build_in_bands<M: RowMetric + ?Sized>(src: &PlaneSource<'_, M>, bands: usize) -> Self {
         assert!(src.g > 0, "synchronization group must be at least 1");
         let s = src.imap.shape();
         let (ph, pw) = (s.h + 2 * src.pad, s.w + 2 * src.pad);
         // Pool-recycled buffers arrive dirty; the build writes every row.
         let mut planes = [(); 4].map(|_| scratch::take_u32(ph * pw));
-        let rows_per = ph.div_ceil(bands).max(1);
+        let rows_per = bands::rows_per(ph, bands);
         let chunk = (rows_per * pw).max(1);
         let [rs, ds, rc, dc] = &mut planes;
-        std::thread::scope(|scope| {
-            let mut parts = rs
-                .chunks_mut(chunk)
-                .zip(ds.chunks_mut(chunk))
-                .zip(rc.chunks_mut(chunk).zip(dc.chunks_mut(chunk)))
-                .map(|((rs, ds), (rc, dc))| [rs, ds, rc, dc])
-                .enumerate();
-            let first = parts.next();
-            for (b, out) in parts {
-                scope.spawn(move || src.band(b * rows_per, out));
-            }
-            if let Some((_, out)) = first {
-                src.band(0, out);
-            }
-        });
+        let parts = rs
+            .chunks_mut(chunk)
+            .zip(ds.chunks_mut(chunk))
+            .zip(rc.chunks_mut(chunk).zip(dc.chunks_mut(chunk)))
+            .map(|((rs, ds), (rc, dc))| [rs, ds, rc, dc])
+            .enumerate();
+        bands::run(parts, |(b, out)| src.band(b * rows_per, out));
         let [raw_sum, delta_sum, raw_cost, delta_cost] = planes;
         Self { c: s.c, g: src.g, ph, pw, raw_sum, delta_sum, raw_cost, delta_cost }
     }
@@ -601,7 +618,9 @@ pub fn term_serial_layer(
 /// `useful_slots`, `total_slots`, every field): per output row it sums
 /// the same integers the reference reduces, precomputed per position —
 /// about `Kh + Kw` vectorized adds per window at any stride and
-/// dilation, versus the reference's `Kh·Kw·C` term fetches.
+/// dilation, versus the reference's `Kh·Kw·C` term fetches. Large
+/// layers walk their output rows in row bands and merge the pallets
+/// that straddle band boundaries.
 ///
 /// # Panics
 ///
@@ -612,37 +631,92 @@ pub fn term_serial_layer_with_terms(
     mode: ValueMode,
     terms: &PaddedTerms,
 ) -> LayerCycles {
+    term_serial_layer_in_bands(trace, cfg, mode, terms, walk_bands(trace, terms))
+}
+
+/// One row band's share of the term-serial walk.
+#[derive(Default)]
+struct PalletRun {
+    /// The window terms of the band.
+    terms: u64,
+    /// The maximum of the band's windows in the pallet open when the
+    /// band starts, when that pallet closes inside the band.
+    head: Option<u32>,
+    /// The cycles of the pallets that open and close inside the band.
+    closed: u64,
+    /// The maximum of the band's windows in the pallet still open when
+    /// it ends: all of the band's windows when no pallet closes in it.
+    tail: u32,
+}
+
+/// [`term_serial_layer_with_terms`] with the output rows walked in
+/// `bands` row bands.
+///
+/// Pallets number the windows of the layer in row-major order, so a band
+/// that starts at output row `oy0` starts at pallet fill
+/// `(oy0·OW) mod windows`, inside a pallet the bands before it opened.
+/// Each band prices its rows from that fill on, and a left-to-right fold
+/// then closes every straddling pallet at the maximum of its windows on
+/// both sides of each boundary it crosses, a pallet that spans several
+/// bands included. The pallet boundaries and the integer maxima are
+/// those of one sequential walk, so the cycles are exact.
+pub(crate) fn term_serial_layer_in_bands(
+    trace: &LayerTrace,
+    cfg: &AcceleratorConfig,
+    mode: ValueMode,
+    terms: &PaddedTerms,
+    bands: usize,
+) -> LayerCycles {
     terms.check_group(cfg);
     let geo = kernel_geometry(trace, cfg);
     let delta = mode == ValueMode::Differential;
-    let mut rows = WindowRows::new(terms, geo.kh, geo.kw, geo.stride, geo.dilation);
-
-    let mut cycles_per_pass: u64 = 0;
-    let mut window_terms: u64 = 0;
 
     // Windows are dispatched 16 (cfg.windows) at a time in row-major
     // order; the dispatcher packs pallets across row boundaries, so
     // narrow layers keep the full window-level parallelism.
-    let mut pallet_max: u32 = 0;
-    let mut pallet_fill = 0usize;
-    for oy in 0..geo.out.h {
-        let row_sums = rows.row(oy, terms.sum_plane(delta), terms.sum_plane(false));
-        window_terms += row_sums.iter().map(|&t| t as u64).sum::<u64>();
-        // Top up the open pallet, then close every pallet the row fills.
-        let mut rest = rows.row(oy, terms.cost_plane(delta), terms.cost_plane(false));
-        while !rest.is_empty() {
-            let (head, tail) = rest.split_at((cfg.windows - pallet_fill).min(rest.len()));
-            pallet_max = head.iter().fold(pallet_max, |m, &c| m.max(c));
-            pallet_fill += head.len();
-            if pallet_fill == cfg.windows {
-                cycles_per_pass += pallet_max as u64;
-                pallet_max = 0;
-                pallet_fill = 0;
+    let runs = walk_rows(trace, terms, bands, |rows, oys| {
+        let mut run = PalletRun::default();
+        let mut fill = oys.start * geo.out.w % cfg.windows;
+        let mut max: u32 = 0;
+        for oy in oys {
+            let row_sums = rows.row(oy, terms.sum_plane(delta), terms.sum_plane(false));
+            run.terms += row_sums.iter().map(|&t| t as u64).sum::<u64>();
+            // Top up the open pallet, then close every pallet the row fills.
+            let mut rest = rows.row(oy, terms.cost_plane(delta), terms.cost_plane(false));
+            while !rest.is_empty() {
+                let (head, tail) = rest.split_at((cfg.windows - fill).min(rest.len()));
+                max = head.iter().fold(max, |m, &c| m.max(c));
+                fill += head.len();
+                if fill == cfg.windows {
+                    if run.head.is_some() {
+                        run.closed += max as u64;
+                    } else {
+                        run.head = Some(max);
+                    }
+                    max = 0;
+                    fill = 0;
+                }
+                rest = tail;
             }
-            rest = tail;
+        }
+        run.tail = max;
+        run
+    });
+
+    let (mut cycles_per_pass, mut window_terms) = (0u64, 0u64);
+    // The maximum so far of the pallet open at the current band boundary.
+    let mut open: u32 = 0;
+    for run in runs {
+        window_terms += run.terms;
+        match run.head {
+            Some(head) => {
+                cycles_per_pass += open.max(head) as u64 + run.closed;
+                open = run.tail;
+            }
+            None => open = open.max(run.tail),
         }
     }
-    cycles_per_pass += pallet_max as u64;
+    cycles_per_pass += open as u64;
 
     finish_layer(trace, cfg, &geo, cycles_per_pass, window_terms)
 }
@@ -823,7 +897,7 @@ where
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use diffy_tensor::{ConvGeometry, Tensor3, Tensor4};
 
@@ -1068,6 +1142,70 @@ mod tests {
                 let cfg_g = cfg().with_terms_per_group(g);
                 assert_kernels_agree(&t, &cfg_g, &format!("s{stride} d{dilation} g{g}"));
             }
+        }
+    }
+
+    /// Layers whose walks exercise the band merge: an output width that
+    /// is no multiple of the 16-window pallet, a 5-column output whose
+    /// pallets span four one-row bands, stride 2, dilation 2 and both.
+    pub(crate) fn banded_walk_layers() -> Vec<LayerTrace> {
+        [
+            (5, 13, 37, ConvGeometry::same(3, 3)),
+            (6, 17, 5, ConvGeometry::same(3, 3)),
+            (4, 19, 40, ConvGeometry::strided(2, 1)),
+            (3, 16, 21, ConvGeometry::same_dilated(3, 2)),
+            (5, 14, 23, ConvGeometry { stride: 2, pad: 2, dilation: 2 }),
+        ]
+        .into_iter()
+        .enumerate()
+        .map(|(i, (c, h, w, geom))| mk_trace(pseudo_imap(c, h, w, 40 + i as u64), 8, 3, geom))
+        .collect()
+    }
+
+    /// Band counts to compare against one band for `t`: two, three, one
+    /// row per band, and more bands than rows.
+    pub(crate) fn band_counts(t: &LayerTrace) -> [usize; 5] {
+        let rows = t.out_shape().h;
+        [2, 3, rows, rows + 1, 4 * rows]
+    }
+
+    #[test]
+    fn banded_walk_matches_one_band_and_the_reference() {
+        for t in banded_walk_layers() {
+            assert!(t.out_shape().w % 16 != 0, "every layer leaves a partial pallet per row");
+            for g in [1, 4, 16] {
+                let cfg = cfg().with_terms_per_group(g);
+                let terms = PaddedTerms::for_layer_at(&t, g);
+                for mode in [ValueMode::Raw, ValueMode::Differential] {
+                    let one = term_serial_layer_in_bands(&t, &cfg, mode, &terms, 1);
+                    assert_eq!(one, term_serial_layer_reference(&t, &cfg, mode), "T{g} {mode:?}");
+                    for bands in band_counts(&t) {
+                        let banded = term_serial_layer_in_bands(&t, &cfg, mode, &terms, bands);
+                        assert_eq!(banded, one, "{:?} T{g} {mode:?} {bands} bands", t.geom);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_pallet_spanning_several_bands_closes_once_at_its_maximum() {
+        // One channel, 1x1 windows, 5 output columns: pallet 0 holds rows
+        // 0–2 and the first column of row 3. A lone spike in row 1 is the
+        // pallet's maximum; with one row per band, that pallet crosses
+        // three band boundaries and the spike's band sees none of its
+        // close.
+        let mut imap = Tensor3::<i16>::filled(1, 8, 5, 1);
+        *imap.at_mut(0, 1, 2) = 0x5555;
+        let t = mk_trace(imap, 1, 1, ConvGeometry::unit());
+        let terms = PaddedTerms::for_layer(&t);
+        let one_tile = cfg().with_tiles(1);
+        let walk = |bands| term_serial_layer_in_bands(&t, &one_tile, ValueMode::Raw, &terms, bands);
+        // Pallets of 16 windows over 40: [0, 16), [16, 32), [32, 40). Only
+        // the first holds the spike (8 terms); the others cost 1 each.
+        assert_eq!(walk(1).cycles, 8 + 1 + 1);
+        for bands in [2, 3, 8, 9] {
+            assert_eq!(walk(bands), walk(1), "{bands} bands");
         }
     }
 

@@ -20,6 +20,9 @@
 //! * [`ops`] — ReLU, bias, pooling and the other per-element layer ops.
 //! * [`stats`] — magnitude percentiles and histograms used for profiled
 //!   precision detection and entropy measurements.
+//! * [`bands`] — the process's core count and the one split of a stage's
+//!   independent rows into bands on scoped threads, which the plane
+//!   build, the storage-scheme footprints and the window walk share.
 //!
 //! # Example
 //!
@@ -37,6 +40,7 @@
 
 #![warn(missing_docs)]
 
+pub mod bands;
 pub mod conv;
 pub mod fixed;
 pub mod ops;
