@@ -9,11 +9,13 @@
 //! speedup to that path — the repo commits the full-HD run as
 //! `BENCH_term_serial.json`. `DIFFY_BENCH_SMOKE=1` shrinks the workload
 //! to seconds for CI. Both kernels are asserted cycle-identical here, so
-//! the bench doubles as a divergence gate. The section also times the two
-//! kernels of a cold evaluation, each gated against its reference: the
-//! inference conv (`conv2d_fast_dncnn64` vs `conv2d`) and the DeltaD16
-//! traffic footprint (`traffic_deltad16_*` vs the encoder's bits, with
-//! `traffic_deltad16_portable_*` on the portable loop).
+//! the bench doubles as a divergence gate. The plane build is timed on the
+//! dispatched strip (`plane_build_*`) and on the portable strip
+//! (`plane_build_portable_*`), gated plane-identical. The section also
+//! times the two kernels of a cold evaluation, each gated against its
+//! reference: the inference conv (`conv2d_fast_dncnn64` vs `conv2d`) and
+//! the DeltaD16 traffic footprint (`traffic_deltad16_*` vs the encoder's
+//! bits, with `traffic_deltad16_portable_*` on the portable loop).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use diffy_bench::{bench_smoke, time_kernel, write_bench_json, BenchRecord};
@@ -234,8 +236,8 @@ fn bench_term_serial(_c: &mut Criterion) {
 
     // The once-per-layer plane build at the config's group, measured on
     // its own so the amortized and cold costs above can be read against
-    // it: one row pass yields the sums and the group costs together, the
-    // whole cold-path plane cost of one standalone evaluation.
+    // it: one strip pass yields the sums and the group costs together,
+    // the whole cold-path plane cost of one standalone evaluation.
     let (build_rec, terms) = time_kernel(
         &format!("plane_build_{h}p"),
         5,
@@ -244,6 +246,20 @@ fn bench_term_serial(_c: &mut Criterion) {
         || Arc::new(PaddedTerms::for_layer_at(&trace, cfg.terms_per_group)),
     );
     records.push(build_rec);
+    // The same build on the portable strip, in the same row bands: the
+    // fallback of CPUs without AVX2, gated plane-identical to the
+    // dispatched build, so the pair isolates the AVX2 strip.
+    let (geom, g) = (trace.geom, cfg.terms_per_group);
+    let (rec, portable) = time_kernel(
+        &format!("plane_build_portable_{h}p"),
+        5,
+        min_total,
+        Some(windows),
+        || PaddedTerms::build_portable(black_box(&trace.imap), geom.pad, geom.stride, g),
+    );
+    assert!(portable == *terms, "portable plane build diverged from the dispatched one");
+    records.push(rec);
+    drop(portable);
 
     let mut speedup_cold = f64::MAX;
     let mut speedup_kernel = f64::MAX;

@@ -395,9 +395,19 @@ pub fn booth_terms_slice_avx2(src: &[i16], dst: &mut [u8]) {
     unsafe { avx2_kernel(src, dst) }
 }
 
+/// The NAF weights of the 16 `i16` lanes of `v`, one count per 16-bit
+/// lane: popcount(u ^ 3u) where `u = |v| ≤ 2^15`. The lane function of
+/// [`booth_terms_slice_avx2`], for kernels that keep the counts in
+/// registers (the term-plane build sums and maximizes them in place).
+///
+/// The low 16 bits of the XOR live in-lane; the 17th bit equals the
+/// carry-out of `3u` (u itself has no bit 16), which `mulhi_epu16`
+/// yields exactly since `3u < 2^17`.
 #[cfg(target_arch = "x86_64")]
+#[doc(hidden)]
+#[inline]
 #[target_feature(enable = "avx2")]
-unsafe fn avx2_kernel(src: &[i16], dst: &mut [u8]) {
+pub fn booth_terms_lanes_avx2(v: std::arch::x86_64::__m256i) -> std::arch::x86_64::__m256i {
     use std::arch::x86_64::*;
     // Per-nibble popcounts for the pshufb table lookup.
     #[rustfmt::skip]
@@ -406,34 +416,31 @@ unsafe fn avx2_kernel(src: &[i16], dst: &mut [u8]) {
         0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4,
     );
     let m0f = _mm256_set1_epi8(0x0f);
-    let ones8 = _mm256_set1_epi8(1);
-    let three = _mm256_set1_epi16(3);
-    // NAF weight of 16 values in 16-bit lanes: popcount(u ^ 3u) where
-    // `u = |v| ≤ 2^15`. The low 16 bits of the XOR live in-lane; the
-    // 17th bit equals the carry-out of `3u` (u itself has no bit 16),
-    // which `mulhi_epu16` yields exactly since `3u < 2^17`.
-    let naf16 = |v: __m256i| -> __m256i {
-        let u = _mm256_abs_epi16(v); // |i16::MIN| = 0x8000 = 2^15, correct unsigned
-        let t3 = _mm256_add_epi16(u, _mm256_add_epi16(u, u)); // 3u mod 2^16
-        let t = _mm256_xor_si256(u, t3);
-        let carry = _mm256_mulhi_epu16(u, three); // bit 16 of 3u: 0 or 1
-        // Byte-wise popcount via two nibble lookups; the epi16 shift
-        // smears bits across byte boundaries but the 0x0f mask drops
-        // every smeared bit.
-        let lo = _mm256_and_si256(t, m0f);
-        let hi = _mm256_and_si256(_mm256_srli_epi16(t, 4), m0f);
-        let cnt8 = _mm256_add_epi8(
-            _mm256_shuffle_epi8(nibble_pc, lo),
-            _mm256_shuffle_epi8(nibble_pc, hi),
-        );
-        // Pairwise byte sums -> per-16-bit-lane popcount, plus the carry.
-        _mm256_add_epi16(_mm256_maddubs_epi16(cnt8, ones8), carry)
-    };
+    let u = _mm256_abs_epi16(v); // |i16::MIN| = 0x8000 = 2^15, correct unsigned
+    let t3 = _mm256_add_epi16(u, _mm256_add_epi16(u, u)); // 3u mod 2^16
+    let t = _mm256_xor_si256(u, t3);
+    let carry = _mm256_mulhi_epu16(u, _mm256_set1_epi16(3)); // bit 16 of 3u: 0 or 1
+    // Byte-wise popcount via two nibble lookups; the epi16 shift smears
+    // bits across byte boundaries but the 0x0f mask drops every smeared
+    // bit.
+    let lo = _mm256_and_si256(t, m0f);
+    let hi = _mm256_and_si256(_mm256_srli_epi16(t, 4), m0f);
+    let cnt8 =
+        _mm256_add_epi8(_mm256_shuffle_epi8(nibble_pc, lo), _mm256_shuffle_epi8(nibble_pc, hi));
+    // Pairwise byte sums -> per-16-bit-lane popcount, plus the carry.
+    _mm256_add_epi16(_mm256_maddubs_epi16(cnt8, _mm256_set1_epi8(1)), carry)
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn avx2_kernel(src: &[i16], dst: &mut [u8]) {
+    use std::arch::x86_64::*;
     let n = src.len() / 32 * 32;
     let mut i = 0;
     while i < n {
-        let c0 = naf16(_mm256_loadu_si256(src.as_ptr().add(i) as *const __m256i));
-        let c1 = naf16(_mm256_loadu_si256(src.as_ptr().add(i + 16) as *const __m256i));
+        let c0 = booth_terms_lanes_avx2(_mm256_loadu_si256(src.as_ptr().add(i) as *const __m256i));
+        let c1 =
+            booth_terms_lanes_avx2(_mm256_loadu_si256(src.as_ptr().add(i + 16) as *const __m256i));
         // packus interleaves the two vectors' 128-bit halves; the
         // permute restores storage order. Counts are <= 9, so the
         // saturating pack is exact.

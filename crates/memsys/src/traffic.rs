@@ -10,12 +10,13 @@
 //! counts a tensor of at least 2^20 values in row bands on the cores
 //! (each `(c, y)` row is encoded on its own), so [`encoded_bytes`],
 //! [`network_traffic`] and [`network_traffic_profiled`] use both cores
-//! on a large tensor with no change of their own.
+//! on a large tensor with no change of their own. RawD's signedness
+//! pass ([`tensor_signedness`]) ORs the same tensors in bands too.
 
 use diffy_encoding::precision::Signedness;
 use diffy_encoding::StorageScheme;
 use diffy_models::NetworkTrace;
-use diffy_tensor::Tensor3;
+use diffy_tensor::{bands, Tensor3};
 
 /// Off-chip traffic of one layer, in bytes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -42,9 +43,19 @@ impl LayerTraffic {
 
 /// Signedness of a tensor's population, detected from its values: one
 /// branch-free OR over the raw bits, whose sign bit is set iff some value
-/// is negative.
+/// is negative. A tensor of at least 2^20 values is ORed in bands on the
+/// cores ([`bands::count`]), and the bands' ORs are ORed.
 pub fn tensor_signedness(t: &Tensor3<i16>) -> Signedness {
-    if t.iter().fold(0u16, |or, &v| or | v as u16) & 0x8000 != 0 {
+    tensor_signedness_in_bands(t, bands::count(t.len()))
+}
+
+/// [`tensor_signedness`] over `bands` contiguous bands of the flat
+/// values.
+fn tensor_signedness_in_bands(t: &Tensor3<i16>, bands: usize) -> Signedness {
+    let values = t.as_slice();
+    let parts = values.chunks(bands::rows_per(values.len(), bands));
+    let ors = bands::run(parts, |band| band.iter().fold(0u16, |or, &v| or | v as u16));
+    if ors.into_iter().fold(0, |or, band| or | band) & 0x8000 != 0 {
         Signedness::Signed
     } else {
         Signedness::Unsigned
@@ -165,6 +176,29 @@ mod tests {
             tensor_signedness(&Tensor3::from_vec(1, 1, 2, vec![0i16, -5])),
             Signedness::Signed
         );
+    }
+
+    #[test]
+    fn banded_signedness_sees_a_lone_negative_anywhere() {
+        // 3·5 = 15 values: one band, two bands of 8 and 7, three of 5.
+        // The only negative value sits first, last, and on each side of
+        // every band boundary.
+        let n = 15;
+        for bands in [1, 2, 3] {
+            let per = bands::rows_per(n, bands);
+            let boundaries = (1..bands).flat_map(|b| [b * per - 1, b * per]);
+            for at in [0, n - 1].into_iter().chain(boundaries) {
+                let mut data = vec![7i16; n];
+                data[at] = -1;
+                let t = Tensor3::from_vec(3, 1, 5, data);
+                let got = tensor_signedness_in_bands(&t, bands);
+                assert_eq!(got, Signedness::Signed, "negative at {at}, {bands} bands");
+            }
+            let all_positive = Tensor3::from_vec(3, 1, 5, vec![i16::MAX; n]);
+            assert_eq!(tensor_signedness_in_bands(&all_positive, bands), Signedness::Unsigned);
+        }
+        let empty = Tensor3::<i16>::new(0, 4, 4);
+        assert_eq!(tensor_signedness_in_bands(&empty, 2), Signedness::Unsigned);
     }
 
     #[test]

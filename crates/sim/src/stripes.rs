@@ -14,11 +14,12 @@
 //! # Precision planes
 //!
 //! The cost structure is the same shape as the term-serial model's — a
-//! per-value `u8` metric, summed per position over channels and
+//! per-value metric, summed per position over channels and
 //! group-max-reduced per synchronization group — so the fast path reuses
-//! the [`PaddedTerms`] one-pass row builder wholesale with
-//! [`stripes_bits`] as the plane metric
-//! ([`PaddedTerms::build_with_metric`]). Precision planes are built
+//! the [`PaddedTerms`] strip pass wholesale with [`stripes_bits`] as the
+//! plane metric ([`Metric::Stripes`] through
+//! [`PaddedTerms::build_with_metric`]; its AVX2 strip counts the
+//! precisions of 16 lanes at once). Precision planes are built
 //! **once per layer** at the configuration's group and priced a whole
 //! output row of windows at a time, as the term-serial kernel prices its
 //! planes, instead of the `Kh·Kw·C` per-window fetch walk the original
@@ -30,7 +31,7 @@
 
 use crate::config::AcceleratorConfig;
 use crate::report::{tile_partition, LayerCycles, NetworkCycles};
-use crate::term_serial::{walk_bands, walk_rows, PaddedTerms, ValueMode};
+use crate::term_serial::{walk_bands, walk_rows, Metric, PaddedTerms, ValueMode};
 use diffy_models::{LayerTrace, NetworkTrace};
 
 /// Bits needed for a signed value in the Stripes datapath (sign +
@@ -47,12 +48,44 @@ pub fn stripes_bits(v: i16) -> u32 {
     }
 }
 
-/// [`stripes_bits`] lifted to rows — the plane metric handed to
-/// [`PaddedTerms::build_with_metric`].
-fn stripes_metric(values: &[i16], out: &mut [u8]) {
-    for (o, &v) in out.iter_mut().zip(values) {
-        *o = stripes_bits(v) as u8;
-    }
+/// [`stripes_bits`] of the 16 `i16` lanes of `v`, one precision per
+/// 16-bit lane — the Stripes lane function of the AVX2 plane strip.
+///
+/// Folding `f = v ^ (v >> 15)` gives `v` for `v ≥ 0` and `!v` for
+/// `v < 0`, below 2^15 either way, and `stripes_bits(v)` is the bit
+/// length of `f` plus one for every `v ≠ 0`. Each byte's bit length is
+/// the larger of two nibble-table lookups; a lane's is its high byte's
+/// plus 8 when that byte is nonzero, else its low byte's.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+#[target_feature(enable = "avx2")]
+pub(crate) fn stripes_bits_lanes_avx2(v: std::arch::x86_64::__m256i) -> std::arch::x86_64::__m256i {
+    use std::arch::x86_64::*;
+    // Bit length of a nibble `n`, and of `n << 4`.
+    #[rustfmt::skip]
+    let low = _mm256_setr_epi8(
+        0, 1, 2, 2, 3, 3, 3, 3, 4, 4, 4, 4, 4, 4, 4, 4,
+        0, 1, 2, 2, 3, 3, 3, 3, 4, 4, 4, 4, 4, 4, 4, 4,
+    );
+    #[rustfmt::skip]
+    let high = _mm256_setr_epi8(
+        0, 5, 6, 6, 7, 7, 7, 7, 8, 8, 8, 8, 8, 8, 8, 8,
+        0, 5, 6, 6, 7, 7, 7, 7, 8, 8, 8, 8, 8, 8, 8, 8,
+    );
+    let m0f = _mm256_set1_epi8(0x0f);
+    let zero = _mm256_setzero_si256();
+    let f = _mm256_xor_si256(v, _mm256_srai_epi16(v, 15));
+    let bytes = _mm256_max_epu8(
+        _mm256_shuffle_epi8(low, _mm256_and_si256(f, m0f)),
+        _mm256_shuffle_epi8(high, _mm256_and_si256(_mm256_srli_epi16(f, 4), m0f)),
+    );
+    let lo = _mm256_and_si256(bytes, _mm256_set1_epi16(0xff));
+    let hi = _mm256_srli_epi16(bytes, 8);
+    let nonzero = _mm256_cmpgt_epi16(hi, zero);
+    let hi = _mm256_add_epi16(hi, _mm256_and_si256(nonzero, _mm256_set1_epi16(8)));
+    let len = _mm256_max_epi16(lo, hi);
+    // `+ 1`, and `+ 1 − 1` where `v == 0` (whose fold has length 0).
+    _mm256_add_epi16(_mm256_add_epi16(len, _mm256_set1_epi16(1)), _mm256_cmpeq_epi16(v, zero))
 }
 
 /// Builds the dynamic-precision planes of one layer at synchronization
@@ -64,7 +97,7 @@ pub fn stripes_planes(trace: &LayerTrace, g: usize) -> PaddedTerms {
         trace.geom.pad,
         trace.geom.stride,
         g,
-        &stripes_metric,
+        Metric::Stripes,
     )
 }
 

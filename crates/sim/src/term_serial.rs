@@ -24,10 +24,16 @@
 //! channel sum (its slot/energy accounting). Both are pure functions of
 //! the imap and the group `g`, so [`PaddedTerms`] computes them **once per
 //! layer and group** as four `u32` planes — raw and delta sums, raw and
-//! delta costs — in one pass over the padded rows. Within a row each
-//! channel is staged, run through the metric into two `u8` rows that stay
-//! in L1, and folded into the row's sums and chunk maxima; no
-//! per-channel plane is ever stored, so each imap crosses DRAM once.
+//! delta costs — in one strip pass. A strip is 16 padded columns of one
+//! padded row; it walks the channels, loads each channel's 16 values and
+//! their stride-distant predecessors straight from the imap (padding
+//! reads as zero), counts the metric of both in 16-bit lanes, and keeps
+//! the sums, the open chunk's maxima and the costs in registers until it
+//! writes its 16 columns of each plane once. The lanes run as an AVX2
+//! strip where the CPU has it and as a portable strip of the same
+//! algorithm elsewhere; the metric is one of a closed set ([`Metric`]:
+//! Booth terms, or Stripes precisions). Each imap crosses DRAM once and
+//! nothing is staged but the few strips that touch the padding.
 //!
 //! The tile takes windows in output-row order (§III-D), so the kernels
 //! price a whole output row of windows at a time: the `Kh` sampled plane
@@ -57,10 +63,10 @@
 use crate::config::AcceleratorConfig;
 use crate::report::{LayerCycles, NetworkCycles};
 use crate::scratch;
-use diffy_encoding::{booth_terms, booth_terms_slice, delta_row_wrapping_into};
+use diffy_encoding::booth_terms;
 use diffy_models::{LayerTrace, NetworkTrace};
 use diffy_tensor::bands;
-use std::ops::{Add, Range};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Which value stream the SIP lanes consume.
@@ -82,6 +88,7 @@ pub enum ValueMode {
 /// The experiment runner additionally keys these per layer and group in
 /// its sweep cache, so N architectures evaluated on one trace at one
 /// group pay the build once.
+#[derive(PartialEq, Eq)]
 pub struct PaddedTerms {
     c: usize,
     g: usize,
@@ -130,8 +137,9 @@ impl WindowRows {
     /// # Panics
     ///
     /// If a window total could overflow `u32`. A plane entry is at most
-    /// `255·C` (a `u8` metric summed, or chunk-maximized and summed, over
-    /// `C` channels), so a window total is at most `kh·kw·255·C`.
+    /// `16·C` (a [`Metric`] of at most 16 summed, or chunk-maximized and
+    /// summed, over `C` channels), so a window total is below the
+    /// `kh·kw·255·C` this checks.
     pub(crate) fn new(
         terms: &PaddedTerms,
         kh: usize,
@@ -230,183 +238,312 @@ where
     bands::run_rows(trace.out_shape().h, bands, |oys| walk(&mut rows.clone(), oys))
 }
 
-/// A per-value plane metric lifted to whole rows: `metric(values, out)`
-/// writes one `u8` per value. Term planes use the lane-parallel Booth
-/// kernel; the Stripes model supplies a dynamic-precision metric. Must
-/// map `0 → 0` (fully padded border rows are written as zeros without
-/// running the metric) and fit every result in `u8`.
-pub trait RowMetric: Sync {
-    /// Computes the metric of each value in `values` into `out`
-    /// (equal lengths).
-    fn apply(&self, values: &[i16], out: &mut [u8]);
+/// The per-value metric a plane build reduces: a closed set, one metric
+/// per cost model. Each maps 0 to 0 (fully padded rows are written as
+/// zeros without running it) and is at most 16.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Metric {
+    /// Booth effectual terms ([`booth_terms`], at most 9): PRA and Diffy.
+    Booth,
+    /// Dynamic precision ([`crate::stripes::stripes_bits`], at most 16):
+    /// the Stripes model.
+    Stripes,
 }
 
-impl<F: Fn(&[i16], &mut [u8]) + Sync> RowMetric for F {
-    fn apply(&self, values: &[i16], out: &mut [u8]) {
-        self(values, out)
+/// A [`Metric`] on the lanes of a strip.
+trait LaneMetric {
+    /// The metric of one value.
+    fn value(v: i16) -> u16;
+
+    /// The metric of each 16-bit lane of `v`.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2.
+    #[cfg(target_arch = "x86_64")]
+    unsafe fn avx2(v: std::arch::x86_64::__m256i) -> std::arch::x86_64::__m256i;
+}
+
+struct BoothLanes;
+
+impl LaneMetric for BoothLanes {
+    #[inline(always)]
+    fn value(v: i16) -> u16 {
+        booth_terms(v) as u16
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[inline(always)]
+    unsafe fn avx2(v: std::arch::x86_64::__m256i) -> std::arch::x86_64::__m256i {
+        // SAFETY: the caller guarantees AVX2.
+        diffy_encoding::booth::booth_terms_lanes_avx2(v)
     }
 }
 
-/// The Booth effectual-term metric — the lane-parallel closed-form
-/// kernel, dispatched per CPU (AVX2 / SSE2 / SWAR) and bit-identical to
-/// the scalar `booth_terms` on every path.
-fn booth_metric(values: &[i16], out: &mut [u8]) {
-    booth_terms_slice(values, out);
+struct StripesLanes;
+
+impl LaneMetric for StripesLanes {
+    #[inline(always)]
+    fn value(v: i16) -> u16 {
+        crate::stripes::stripes_bits(v) as u16
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[inline(always)]
+    unsafe fn avx2(v: std::arch::x86_64::__m256i) -> std::arch::x86_64::__m256i {
+        // SAFETY: the caller guarantees AVX2.
+        crate::stripes::stripes_bits_lanes_avx2(v)
+    }
 }
 
-/// A row accumulator lane of the plane build: `u16` while every sum fits
-/// (`255·256 < 2^16`, so up to 256 channels), `u32` above.
-trait Lane: Copy + Default + From<u8> + Add<Output = Self> + Into<u32> {}
+/// Padded columns one strip covers: sixteen 16-bit lanes, one AVX2
+/// register.
+const STRIP: usize = 16;
 
-impl<T: Copy + Default + From<u8> + Add<Output = T> + Into<u32>> Lane for T {}
+/// Channels a strip sums in `u16` lanes before it widens them into its
+/// `u32` results: a metric is at most 16, and `2048·16 < 2^16`.
+const WIDEN_EVERY: usize = 2048;
 
+/// A strip's four results, `[raw sum, delta sum, raw cost, delta cost]`,
+/// one `u32` per lane.
+type Wide = [[u32; STRIP]; 4];
+
+/// Where one strip reads its lanes: channel `ch`'s sixteen values start
+/// at `data[at + ch·step]`, and their stride-distant predecessors
+/// `back` values before them.
+struct StripLanes<'d> {
+    data: &'d [i16],
+    at: usize,
+    step: usize,
+    back: usize,
+    channels: usize,
+    g: usize,
+}
+
+impl StripLanes<'_> {
+    /// Asserts that every lane read of every channel lies in `data`.
+    fn check_bounds(&self) {
+        let last = self.at + self.channels.saturating_sub(1) * self.step;
+        assert!(self.at >= self.back && last + STRIP <= self.data.len(), "strip out of bounds");
+    }
+}
+
+/// Adds a strip's `u16` partials into its `u32` results, which the first
+/// partials overwrite.
 #[inline(always)]
-fn add_row<A: Lane>(acc: &mut [A], terms: &[u8]) {
-    for (a, &t) in acc.iter_mut().zip(terms) {
-        *a = *a + A::from(t);
+fn widen(first: bool, partials: &[[u16; STRIP]; 4], wide: &mut Wide) {
+    for (w, p) in wide.iter_mut().zip(partials) {
+        for (w, &p) in w.iter_mut().zip(p) {
+            *w = if first { p as u32 } else { *w + p as u32 };
+        }
     }
 }
 
-/// One value stream's state while the builder walks a padded row: the
-/// metric row of the channel in flight, the running maximum of the open
-/// `g`-channel chunk, and the row's channel-sum and chunk-cost
-/// accumulators. Every buffer is one padded row long, so the whole state
-/// of both streams stays in L1.
-struct StreamRow<A> {
-    terms: Vec<u8>,
-    max: Vec<u8>,
-    sum: Vec<A>,
-    cost: Vec<A>,
+/// The strip kernel a plane build runs: both compute the same planes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Strip {
+    /// Portable Rust, any target.
+    Portable,
+    /// AVX2; only constructed after runtime detection.
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
 }
 
-impl<A: Lane> StreamRow<A> {
-    fn new(pw: usize) -> Self {
-        let zero = A::default();
-        Self { terms: vec![0; pw], max: vec![0; pw], sum: vec![zero; pw], cost: vec![zero; pw] }
+impl Strip {
+    /// The fastest strip this CPU supports.
+    fn detect() -> Self {
+        #[cfg(target_arch = "x86_64")]
+        if std::is_x86_feature_detected!("avx2") {
+            return Strip::Avx2;
+        }
+        Strip::Portable
     }
+}
 
-    #[inline(always)]
-    fn start_row(&mut self) {
-        self.sum.fill(A::default());
-        self.cost.fill(A::default());
-    }
-
-    /// Folds the channel in `terms` into the row: its sum, and the
-    /// maximum of its chunk, which `first` opens and `last` closes into
-    /// the cost. A one-channel chunk adds its terms directly.
-    #[inline(always)]
-    fn fold(&mut self, first: bool, last: bool) {
-        add_row(&mut self.sum, &self.terms);
-        match (first, last) {
-            (true, true) => add_row(&mut self.cost, &self.terms),
-            (true, false) => self.max.copy_from_slice(&self.terms),
-            (false, _) => {
-                for (m, &t) in self.max.iter_mut().zip(&self.terms) {
-                    *m = (*m).max(t);
+/// Portable strip: the AVX2 algorithm in plain Rust, on arrays of
+/// sixteen `u16` lanes.
+fn strip_portable<M: LaneMetric>(src: &StripLanes<'_>, wide: &mut Wide) {
+    let (mut raw_max, mut delta_max) = ([0u16; STRIP], [0u16; STRIP]);
+    let mut left = src.g;
+    for c0 in (0..src.channels).step_by(WIDEN_EVERY) {
+        let [mut raw_sum, mut delta_sum, mut raw_cost, mut delta_cost] = [[0u16; STRIP]; 4];
+        for ch in c0..src.channels.min(c0 + WIDEN_EVERY) {
+            let at = src.at + ch * src.step;
+            let (values, prevs) = (&src.data[at..at + STRIP], &src.data[at - src.back..][..STRIP]);
+            for k in 0..STRIP {
+                let raw = M::value(values[k]);
+                let delta = M::value(values[k].wrapping_sub(prevs[k]));
+                raw_sum[k] += raw;
+                delta_sum[k] += delta;
+                raw_max[k] = raw_max[k].max(raw);
+                delta_max[k] = delta_max[k].max(delta);
+            }
+            left -= 1;
+            if left == 0 || ch + 1 == src.channels {
+                for k in 0..STRIP {
+                    raw_cost[k] += raw_max[k];
+                    delta_cost[k] += delta_max[k];
                 }
-                if last {
-                    add_row(&mut self.cost, &self.max);
-                }
+                (raw_max, delta_max, left) = ([0; STRIP], [0; STRIP], src.g);
             }
         }
+        widen(c0 == 0, &[raw_sum, delta_sum, raw_cost, delta_cost], wide);
     }
+}
 
-    #[inline(always)]
-    fn finish_row(&self, sum: &mut [u32], cost: &mut [u32]) {
-        for (dst, &a) in sum.iter_mut().zip(&self.sum) {
-            *dst = a.into();
+/// AVX2 strip: the value and predecessor lanes of a channel are two
+/// unaligned loads, their delta one wrapping subtract, and the metric,
+/// the sums, the open chunk's maxima and the costs all stay in
+/// registers.
+///
+/// # Safety
+///
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn strip_avx2<M: LaneMetric>(src: &StripLanes<'_>, wide: &mut Wide) {
+    use std::arch::x86_64::*;
+    src.check_bounds();
+    let p = src.data.as_ptr();
+    let zero = _mm256_setzero_si256();
+    let (mut raw_max, mut delta_max) = (zero, zero);
+    let mut left = src.g;
+    for c0 in (0..src.channels).step_by(WIDEN_EVERY) {
+        let [mut raw_sum, mut delta_sum, mut raw_cost, mut delta_cost] = [zero; 4];
+        for ch in c0..src.channels.min(c0 + WIDEN_EVERY) {
+            // SAFETY: `check_bounds` keeps both loads inside `data`.
+            let at = p.add(src.at + ch * src.step);
+            let values = _mm256_loadu_si256(at as *const __m256i);
+            let prevs = _mm256_loadu_si256(at.sub(src.back) as *const __m256i);
+            let raw = M::avx2(values);
+            let delta = M::avx2(_mm256_sub_epi16(values, prevs));
+            raw_sum = _mm256_add_epi16(raw_sum, raw);
+            delta_sum = _mm256_add_epi16(delta_sum, delta);
+            raw_max = _mm256_max_epu16(raw_max, raw);
+            delta_max = _mm256_max_epu16(delta_max, delta);
+            left -= 1;
+            if left == 0 || ch + 1 == src.channels {
+                raw_cost = _mm256_add_epi16(raw_cost, raw_max);
+                delta_cost = _mm256_add_epi16(delta_cost, delta_max);
+                (raw_max, delta_max, left) = (zero, zero, src.g);
+            }
         }
-        for (dst, &a) in cost.iter_mut().zip(&self.cost) {
-            *dst = a.into();
+        let mut partials = [[0u16; STRIP]; 4];
+        for (dst, v) in partials.iter_mut().zip([raw_sum, delta_sum, raw_cost, delta_cost]) {
+            _mm256_storeu_si256(dst.as_mut_ptr() as *mut __m256i, v);
         }
+        widen(c0 == 0, &partials, wide);
+    }
+}
+
+/// Copies into `out` the values of `row` (one imap row, padded by `pad`
+/// on each side) at padded columns `px0 + k − shift`, `k < STRIP`, with
+/// zeros at padding and left of column 0.
+fn gather(row: &[i16], pad: usize, px0: usize, shift: usize, out: &mut [i16]) {
+    // Lane k reads row[px0 + k − shift − pad] where that lies in the row.
+    let lo = (pad + shift).saturating_sub(px0).min(STRIP);
+    let hi = (pad + shift + row.len()).saturating_sub(px0).min(STRIP);
+    out.fill(0);
+    if lo < hi {
+        let x0 = px0 + lo - shift - pad;
+        out[lo..hi].copy_from_slice(&row[x0..x0 + hi - lo]);
     }
 }
 
 /// What one plane build reads: the imap, its padding and delta stride,
-/// the synchronization group and the metric.
-struct PlaneSource<'a, M: ?Sized> {
+/// the synchronization group and the metric, and the strip kernel that
+/// runs it.
+struct PlaneSource<'a> {
     imap: &'a diffy_tensor::Tensor3<i16>,
     pad: usize,
     stride: usize,
     g: usize,
-    metric: &'a M,
+    metric: Metric,
+    strip: Strip,
 }
 
 /// One band of the four output planes: `[raw sum, delta sum, raw cost,
 /// delta cost]`, the same padded rows of each.
 type Band<'p> = [&'p mut [u32]; 4];
 
-impl<M: RowMetric + ?Sized> PlaneSource<'_, M> {
-    /// Fills one band whose first padded row is `py0`, with the AVX2
-    /// build of the row loop when the CPU has it.
+impl PlaneSource<'_> {
+    /// Fills one band whose first padded row is `py0`.
     fn band(&self, py0: usize, out: Band<'_>) {
-        #[cfg(target_arch = "x86_64")]
-        if std::is_x86_feature_detected!("avx2") {
-            // SAFETY: AVX2 was detected at runtime.
-            return unsafe { self.band_avx2(py0, out) };
+        match self.metric {
+            Metric::Booth => self.band_with::<BoothLanes>(py0, out),
+            Metric::Stripes => self.band_with::<StripesLanes>(py0, out),
         }
-        self.band_rows(py0, out)
     }
 
-    /// The row loop compiled for AVX2: the same code, with its sums and
-    /// maxima vectorized in 256-bit registers.
-    ///
-    /// # Safety
-    ///
-    /// The CPU must support AVX2.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn band_avx2(&self, py0: usize, out: Band<'_>) {
-        self.band_rows(py0, out)
-    }
-
-    #[inline(always)]
-    fn band_rows(&self, py0: usize, out: Band<'_>) {
-        if self.imap.shape().c <= 256 {
-            self.rows::<u16>(py0, out)
-        } else {
-            self.rows::<u32>(py0, out)
+    fn band_with<M: LaneMetric>(&self, py0: usize, out: Band<'_>) {
+        match self.strip {
+            Strip::Portable => self.rows(py0, out, strip_portable::<M>),
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `Avx2` exists only after runtime detection, and
+            // `strip_avx2` asserts that its lane reads stay in bounds.
+            Strip::Avx2 => self.rows(py0, out, |src, wide| unsafe { strip_avx2::<M>(src, wide) }),
         }
     }
 
     /// Walks the band's padded rows. A fully padded row is all zeros; an
-    /// interior row stages each channel's values and stride deltas, runs
-    /// the metric into the two streams' `u8` rows and folds them in, then
-    /// writes the row of all four planes.
-    #[inline(always)]
-    fn rows<A: Lane>(&self, py0: usize, [raw_sum, delta_sum, raw_cost, delta_cost]: Band<'_>) {
+    /// interior row runs `strip` once per [`STRIP`] padded columns and
+    /// writes its lanes of the four planes. An interior strip reads its
+    /// lanes from the imap itself; a strip that touches the padding or
+    /// has a predecessor outside the row first gathers its lanes, zeros
+    /// included, into `edge`.
+    fn rows(
+        &self,
+        py0: usize,
+        [raw_sum, delta_sum, raw_cost, delta_cost]: Band<'_>,
+        strip: impl Fn(&StripLanes<'_>, &mut Wide),
+    ) {
         let s = self.imap.shape();
-        let (pad, g) = (self.pad, self.g);
+        let (pad, stride, g) = (self.pad, self.stride, self.g);
         let pw = s.w + 2 * pad;
-        let mut values = vec![0i16; pw];
-        let mut deltas = vec![0i16; pw];
-        let mut raw = StreamRow::<A>::new(pw);
-        let mut delta = StreamRow::<A>::new(pw);
+        let data = self.imap.as_slice();
+        // Per channel: the predecessors, then the values, of one strip.
+        let mut edge = vec![0i16; 2 * STRIP * s.c];
+        let mut wide = [[0u32; STRIP]; 4];
         let planes = raw_sum
             .chunks_exact_mut(pw)
             .zip(delta_sum.chunks_exact_mut(pw))
             .zip(raw_cost.chunks_exact_mut(pw).zip(delta_cost.chunks_exact_mut(pw)));
         for (k, ((rs, ds), (rc, dc))) in planes.enumerate() {
             let py = py0 + k;
-            if py < pad || py >= pad + s.h {
+            if s.c == 0 || py < pad || py >= pad + s.h {
                 for row in [rs, ds, rc, dc] {
                     row.fill(0);
                 }
                 continue;
             }
-            raw.start_row();
-            delta.start_row();
-            for ch in 0..s.c {
-                values[pad..pad + s.w].copy_from_slice(self.imap.row(ch, py - pad));
-                delta_row_wrapping_into(&values, self.stride, &mut deltas);
-                self.metric.apply(&values, &mut raw.terms);
-                self.metric.apply(&deltas, &mut delta.terms);
-                let (first, last) = (ch % g == 0, ch % g == g - 1 || ch + 1 == s.c);
-                raw.fold(first, last);
-                delta.fold(first, last);
+            let y = py - pad;
+            for px0 in (0..pw).step_by(STRIP) {
+                let src = if px0 >= pad + stride && px0 + STRIP <= pad + s.w {
+                    StripLanes {
+                        data,
+                        at: y * s.w + px0 - pad,
+                        step: s.h * s.w,
+                        back: stride,
+                        channels: s.c,
+                        g,
+                    }
+                } else {
+                    for (ch, lanes) in edge.chunks_exact_mut(2 * STRIP).enumerate() {
+                        let (prevs, values) = lanes.split_at_mut(STRIP);
+                        let row = self.imap.row(ch, y);
+                        gather(row, pad, px0, stride, prevs);
+                        gather(row, pad, px0, 0, values);
+                    }
+                    let (at, step) = (STRIP, 2 * STRIP);
+                    StripLanes { data: &edge, at, step, back: STRIP, channels: s.c, g }
+                };
+                strip(&src, &mut wide);
+                let n = STRIP.min(pw - px0);
+                for (row, lanes) in [&mut *rs, &mut *ds, &mut *rc, &mut *dc].into_iter().zip(&wide)
+                {
+                    row[px0..px0 + n].copy_from_slice(&lanes[..n]);
+                }
             }
-            raw.finish_row(rs, rc);
-            delta.finish_row(ds, dc);
         }
     }
 }
@@ -420,33 +557,46 @@ impl PaddedTerms {
     ///
     /// If `g == 0`.
     pub fn build(imap: &diffy_tensor::Tensor3<i16>, pad: usize, stride: usize, g: usize) -> Self {
-        Self::build_with_metric(imap, pad, stride, g, &booth_metric)
+        Self::build_with_metric(imap, pad, stride, g, Metric::Booth)
     }
 
-    /// [`PaddedTerms::build`] under an arbitrary per-value plane metric —
-    /// the machinery (padding, row delta, channel sums, chunk maxima, row
-    /// bands) is metric-agnostic, so other cost models (e.g. the Stripes
-    /// dynamic-precision planes) reuse it wholesale.
+    /// [`PaddedTerms::build`] under another per-value [`Metric`]: the
+    /// Stripes model builds its dynamic-precision planes through the
+    /// same strips.
     ///
     /// The padded rows split into row bands ([`bands::count`] over the
     /// `C·PH·PW` metric values the build reads). Every row depends only
     /// on its own imap rows, so any band count builds identical planes.
-    pub fn build_with_metric<M: RowMetric + ?Sized>(
+    pub fn build_with_metric(
         imap: &diffy_tensor::Tensor3<i16>,
         pad: usize,
         stride: usize,
         g: usize,
-        metric: &M,
+        metric: Metric,
     ) -> Self {
-        let s = imap.shape();
-        let bands = bands::count(s.c * (s.h + 2 * pad) * (s.w + 2 * pad));
-        Self::build_in_bands(&PlaneSource { imap, pad, stride, g, metric }, bands)
+        let src = PlaneSource { imap, pad, stride, g, metric, strip: Strip::detect() };
+        Self::build_in_bands(&src, build_bands(imap, pad))
+    }
+
+    /// [`PaddedTerms::build`] on the portable strip, in the same bands:
+    /// the fallback of CPUs without AVX2, timed beside the dispatched
+    /// build by the kernel benchmarks.
+    #[doc(hidden)]
+    pub fn build_portable(
+        imap: &diffy_tensor::Tensor3<i16>,
+        pad: usize,
+        stride: usize,
+        g: usize,
+    ) -> Self {
+        let (metric, strip) = (Metric::Booth, Strip::Portable);
+        let src = PlaneSource { imap, pad, stride, g, metric, strip };
+        Self::build_in_bands(&src, build_bands(imap, pad))
     }
 
     /// The one plane build: the padded rows split into `bands`
     /// contiguous bands of [`bands::rows_per`] rows, each band writing
     /// its own rows of the four planes.
-    fn build_in_bands<M: RowMetric + ?Sized>(src: &PlaneSource<'_, M>, bands: usize) -> Self {
+    fn build_in_bands(src: &PlaneSource<'_>, bands: usize) -> Self {
         assert!(src.g > 0, "synchronization group must be at least 1");
         let s = src.imap.shape();
         let (ph, pw) = (s.h + 2 * src.pad, s.w + 2 * src.pad);
@@ -524,6 +674,13 @@ impl PaddedTerms {
             self.g, cfg.terms_per_group
         );
     }
+}
+
+/// The band count of a plane build through [`bands::count`]: it reads
+/// `C·PH·PW` metric values.
+fn build_bands(imap: &diffy_tensor::Tensor3<i16>, pad: usize) -> usize {
+    let s = imap.shape();
+    bands::count(s.c * (s.h + 2 * pad) * (s.w + 2 * pad))
 }
 
 impl Drop for PaddedTerms {
@@ -1215,10 +1372,16 @@ pub(crate) mod tests {
         [sum(false), sum(true), cost(false), cost(true)]
     }
 
-    /// The four planes as a direct reduction of `booth_terms` over the
+    /// The four planes as a direct reduction of `metric` over the
     /// zero-padded values and their stride-distant deltas: per position,
     /// the channel sums and the sums of each `g`-channel chunk's maximum.
-    fn direct_planes(imap: &Tensor3<i16>, pad: usize, stride: usize, g: usize) -> [Vec<u32>; 4] {
+    fn direct_planes(
+        imap: &Tensor3<i16>,
+        pad: usize,
+        stride: usize,
+        g: usize,
+        metric: fn(i16) -> u32,
+    ) -> [Vec<u32>; 4] {
         let s = imap.shape();
         let (ph, pw) = (s.h + 2 * pad, s.w + 2 * pad);
         let value = |c: usize, py: usize, px: usize| -> i16 {
@@ -1238,7 +1401,7 @@ pub(crate) mod tests {
                     for c in c0..(c0 + g).min(s.c) {
                         let v = value(c, py, px);
                         let prev = if px >= stride { value(c, py, px - stride) } else { 0 };
-                        let (raw, delta) = (booth_terms(v), booth_terms(v.wrapping_sub(prev)));
+                        let (raw, delta) = (metric(v), metric(v.wrapping_sub(prev)));
                         out[0][at] += raw;
                         out[1][at] += delta;
                         raw_max = raw_max.max(raw);
@@ -1252,33 +1415,70 @@ pub(crate) mod tests {
         out
     }
 
-    #[test]
-    fn planes_match_direct_reduction_of_booth_terms() {
-        // Every plane of every build, one band or several, equals the
-        // reduction of the per-value Booth terms: sync groups from one
-        // lane to wider than the layer, channel counts that no group
-        // divides and one past the u16 accumulator bound (300 > 256),
-        // strides up to 3 and pads up to 2.
-        for (c, h, w) in [(1, 4, 9), (3, 3, 7), (17, 2, 6), (300, 2, 5)] {
-            let imap = pseudo_imap(c, h, w, c as u64 * 7 + 1);
-            for g in [1, 2, 4, 16, 64] {
-                for stride in 1..=3 {
-                    for pad in 0..=2 {
-                        let want = direct_planes(&imap, pad, stride, g);
-                        let metric = &booth_metric;
-                        let src = PlaneSource { imap: &imap, pad, stride, g, metric };
-                        let ph = h + 2 * pad;
-                        for bands in [1, 2, 3, ph + 1] {
-                            let terms = PaddedTerms::build_in_bands(&src, bands);
-                            assert_eq!(terms.group(), g);
-                            assert_eq!(terms.padded_dims(), (ph, w + 2 * pad));
-                            for (k, (got, want)) in planes(&terms).iter().zip(&want).enumerate() {
-                                assert_eq!(
-                                    *got,
-                                    &want[..],
-                                    "plane {k}: C{c} g{g} s{stride} p{pad} {bands} bands"
-                                );
-                            }
+    /// Every strip kernel this CPU runs: the portable strip always, and
+    /// the AVX2 strip where the CPU has it.
+    fn strips() -> Vec<Strip> {
+        #[allow(unused_mut)]
+        let mut strips = vec![Strip::Portable];
+        #[cfg(target_arch = "x86_64")]
+        if std::is_x86_feature_detected!("avx2") {
+            strips.push(Strip::Avx2);
+        }
+        strips
+    }
+
+    /// An imap whose rows cycle through `i16::MIN`, `i16::MAX`, −1 and 0:
+    /// the extremes of both metrics, and deltas that wrap.
+    fn extreme_imap(c: usize, h: usize, w: usize) -> Tensor3<i16> {
+        let cycle = [i16::MIN, i16::MAX, -1, 0];
+        Tensor3::from_vec(c, h, w, (0..c * h * w).map(|i| cycle[(i + i / w) % 4]).collect())
+    }
+
+    /// Asserts that both strips, in one band or several, build the planes
+    /// of `direct_planes` under `metric`.
+    fn assert_planes_match_direct(
+        imap: &Tensor3<i16>,
+        (pad, stride, g): (usize, usize, usize),
+        (metric, scalar): (Metric, fn(i16) -> u32),
+    ) {
+        let s = imap.shape();
+        let want = direct_planes(imap, pad, stride, g, scalar);
+        let ph = s.h + 2 * pad;
+        for strip in strips() {
+            let src = PlaneSource { imap, pad, stride, g, metric, strip };
+            for bands in [1, 2, 3, ph + 1] {
+                let terms = PaddedTerms::build_in_bands(&src, bands);
+                assert_eq!(terms.group(), g);
+                assert_eq!(terms.padded_dims(), (ph, s.w + 2 * pad));
+                for (k, (got, want)) in planes(&terms).iter().zip(&want).enumerate() {
+                    assert!(
+                        *got == &want[..],
+                        "{metric:?} plane {k}: {strip:?} {s:?} g{g} s{stride} p{pad}, {bands} bands"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Every build of every plane equals the direct reduction of the
+    /// metric: both strips, sync groups from one lane to wider than the
+    /// layer, channel counts that no group divides and C = 300, widths
+    /// around the 16-lane strip, strides up to past the row, pads up to
+    /// the row width, and rows of extremes beside pseudo-random ones.
+    /// Width 30 at pad 1 puts an interior strip's last lane on the row's
+    /// last value, and at pad 2 and stride 15 its first predecessor on
+    /// the row's first value.
+    fn assert_metric_planes_match_direct(metric: Metric, scalar: fn(i16) -> u32) {
+        let shapes =
+            [(1, 4, 9), (3, 3, 7), (17, 2, 6), (300, 2, 5), (2, 3, 1), (3, 2, 15), (4, 2, 16)]
+                .into_iter()
+                .chain([(5, 3, 17), (2, 2, 30), (2, 2, 33)]);
+        for (c, h, w) in shapes {
+            for imap in [pseudo_imap(c, h, w, c as u64 * 7 + w as u64), extreme_imap(c, h, w)] {
+                for g in [1, 2, 4, 16, 64] {
+                    for stride in [1, 2, 3, 15, w + 1] {
+                        for pad in [0, 1, 2, w] {
+                            assert_planes_match_direct(&imap, (pad, stride, g), (metric, scalar));
                         }
                     }
                 }
@@ -1287,18 +1487,79 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn planes_match_direct_reduction_of_booth_terms() {
+        assert_metric_planes_match_direct(Metric::Booth, booth_terms);
+    }
+
+    #[test]
+    fn planes_match_direct_reduction_of_stripes_bits() {
+        assert_metric_planes_match_direct(Metric::Stripes, crate::stripes::stripes_bits);
+    }
+
+    #[test]
+    fn lane_partials_widen_before_they_overflow() {
+        // Rows alternating ±2^14 have precision 15 or 16 and deltas of
+        // i16::MIN (precision 16), so 3·2048 + 3 channels sum past 2^16 at
+        // every position: the strips must widen their partials mid-strip.
+        let (c, w) = (3 * WIDEN_EVERY + 3, 18);
+        let data = (0..c * w).map(|i| if i % 2 == 0 { 0x4000 } else { -0x4000 }).collect();
+        let imap = Tensor3::from_vec(c, 1, w, data);
+        for g in [1, 16, 3000] {
+            assert_planes_match_direct(&imap, (1, 1, g), (Metric::Booth, booth_terms));
+            let stripes = crate::stripes::stripes_bits;
+            assert_planes_match_direct(&imap, (1, 1, g), (Metric::Stripes, stripes));
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn avx2_lane_metrics_match_the_scalar_metrics_on_every_i16() {
+        use std::arch::x86_64::*;
+        if !std::is_x86_feature_detected!("avx2") {
+            return;
+        }
+        fn lanes<M: LaneMetric>(values: &[i16]) -> Vec<u16> {
+            let mut out = vec![0u16; values.len()];
+            for (v, o) in values.chunks_exact(STRIP).zip(out.chunks_exact_mut(STRIP)) {
+                // SAFETY: AVX2 was detected; both pointers cover 16 lanes.
+                unsafe {
+                    let counts = M::avx2(_mm256_loadu_si256(v.as_ptr() as *const __m256i));
+                    _mm256_storeu_si256(o.as_mut_ptr() as *mut __m256i, counts);
+                }
+            }
+            out
+        }
+        let all: Vec<i16> = (i16::MIN..=i16::MAX).collect();
+        let booth: Vec<u16> = all.iter().map(|&v| BoothLanes::value(v)).collect();
+        let stripes: Vec<u16> = all.iter().map(|&v| StripesLanes::value(v)).collect();
+        assert_eq!(lanes::<BoothLanes>(&all), booth);
+        assert_eq!(lanes::<StripesLanes>(&all), stripes);
+        // Both stay within the bound the u16 partials are sized for.
+        assert!(booth.iter().chain(&stripes).all(|&m| m <= 16));
+    }
+
+    #[test]
     fn public_builders_match_the_banded_build() {
-        // `build` picks its own band count; `for_layer` builds at Table
-        // IV's T16 and `for_layer_at` at the group it is given.
+        // `build` picks its own band count and strip; `for_layer` builds
+        // at Table IV's T16, `for_layer_at` at the group it is given and
+        // `build_portable` on the portable strip.
         let t = mk_trace(pseudo_imap(6, 9, 31, 5), 8, 3, ConvGeometry::same(3, 3));
-        let src = |g| PlaneSource { imap: &t.imap, pad: 1, stride: 1, g, metric: &booth_metric };
-        let one_band = PaddedTerms::build_in_bands(&src(16), 1);
+        let src = |g, strip| PlaneSource {
+            imap: &t.imap,
+            pad: 1,
+            stride: 1,
+            g,
+            metric: Metric::Booth,
+            strip,
+        };
+        let one_band = PaddedTerms::build_in_bands(&src(16, Strip::Portable), 1);
         let default = PaddedTerms::for_layer(&t);
         assert_eq!(default.group(), 16);
         assert_eq!(planes(&default), planes(&one_band));
+        assert!(PaddedTerms::build_portable(&t.imap, 1, 1, 16) == default);
         let t4 = PaddedTerms::for_layer_at(&t, 4);
         assert_eq!(t4.group(), 4);
-        assert_eq!(planes(&t4), planes(&PaddedTerms::build_in_bands(&src(4), 3)));
+        assert_eq!(planes(&t4), planes(&PaddedTerms::build_in_bands(&src(4, Strip::detect()), 3)));
     }
 
     #[test]
@@ -1347,7 +1608,8 @@ pub(crate) mod tests {
         }
         let again = PaddedTerms::for_layer_at(&t, 4);
         assert_eq!(first, snapshot(&again), "recycled-buffer rebuild diverged");
-        assert_eq!(planes(&again).map(<[u32]>::to_vec), direct_planes(&t.imap, 1, 1, 4));
+        let direct = direct_planes(&t.imap, 1, 1, 4, booth_terms);
+        assert_eq!(planes(&again).map(<[u32]>::to_vec), direct);
     }
 
     #[test]
