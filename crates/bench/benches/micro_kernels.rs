@@ -25,15 +25,16 @@ use diffy_core::{EvalOptions, SchemeChoice};
 use diffy_encoding::bitstream::BitWriter;
 use diffy_encoding::delta::{delta_rows_wrapping, undelta_rows_wrapping};
 use diffy_encoding::precision::Signedness;
-use diffy_encoding::{booth_terms, booth_terms_slice, booth_terms_slice_swar, StorageScheme};
+use diffy_encoding::{booth_terms, StorageScheme};
 use diffy_imaging::datasets::DatasetId;
 use diffy_memsys::traffic::encoded_bytes;
 use diffy_models::{CiModel, LayerTrace};
+use diffy_sim::term_serial::Metric;
 use diffy_sim::{
     term_serial_layer, term_serial_layer_reference, term_serial_layer_with_terms,
     AcceleratorConfig, Architecture, PaddedTerms, ValueMode,
 };
-use diffy_tensor::{conv2d, conv2d_fast, conv2d_im2col, ConvGeometry, Tensor3, Tensor4};
+use diffy_tensor::{conv2d, conv2d_fast, conv2d_im2col, ConvGeometry, Isa, Tensor3, Tensor4};
 use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Duration;
@@ -55,19 +56,6 @@ fn bench_booth(c: &mut Criterion) {
                 acc += booth_terms(black_box(v)) as u64;
             }
             acc
-        })
-    });
-    let mut counts = vec![0u8; values.len()];
-    g.bench_function("lane_dispatch_64k", |b| {
-        b.iter(|| {
-            booth_terms_slice(black_box(&values), &mut counts);
-            counts[0]
-        })
-    });
-    g.bench_function("lane_swar_64k", |b| {
-        b.iter(|| {
-            booth_terms_slice_swar(black_box(&values), &mut counts);
-            counts[0]
         })
     });
     g.finish();
@@ -158,28 +146,19 @@ fn bench_term_serial(_c: &mut Criterion) {
     println!("== term-serial cycle-model kernels ({}x{h}x{w}, 16 filters 3x3) ==", 16);
     let mut records: Vec<BenchRecord> = Vec::new();
 
-    // Bulk-kernel micro-records: the scalar closed form vs the
-    // lane-parallel Booth paths, each gated byte-identical in-bench
-    // before its timing counts, plus the fused delta transform.
+    // Bulk-kernel micro-records: the scalar closed form over a slice, and
+    // the fused delta transform. `black_box` hides the input slice and
+    // the output once per call, not each value, so the loop times the
+    // closed form rather than a stack store and reload per value.
     let kvals = pseudo_values(1 << 20);
     let kn = kvals.len() as u64;
     let mut scalar_counts = vec![0u8; kvals.len()];
     let (rec, _) = time_kernel("booth_count_scalar_1m", 3, min_total, Some(kn), || {
-        for (d, &v) in scalar_counts.iter_mut().zip(&kvals) {
-            *d = booth_terms(black_box(v)) as u8;
+        for (d, &v) in scalar_counts.iter_mut().zip(black_box(&kvals)) {
+            *d = booth_terms(v) as u8;
         }
+        black_box(&mut scalar_counts);
     });
-    records.push(rec);
-    let mut lane_counts = vec![0u8; kvals.len()];
-    let (rec, _) = time_kernel("booth_count_lanes_1m", 3, min_total, Some(kn), || {
-        booth_terms_slice(black_box(&kvals), &mut lane_counts);
-    });
-    assert_eq!(scalar_counts, lane_counts, "lane booth kernel diverged from scalar");
-    records.push(rec);
-    let (rec, _) = time_kernel("booth_count_swar_1m", 3, min_total, Some(kn), || {
-        booth_terms_slice_swar(black_box(&kvals), &mut lane_counts);
-    });
-    assert_eq!(scalar_counts, lane_counts, "SWAR booth kernel diverged from scalar");
     records.push(rec);
 
     let dt = Tensor3::from_vec(16, 256, 256, pseudo_values(16 * 256 * 256));
@@ -201,7 +180,6 @@ fn bench_term_serial(_c: &mut Criterion) {
     // see the record-ordering note there.
     drop(dplanes);
     drop(dt);
-    drop(lane_counts);
     drop(scalar_counts);
     drop(kvals);
 
@@ -255,7 +233,10 @@ fn bench_term_serial(_c: &mut Criterion) {
         5,
         min_total,
         Some(windows),
-        || PaddedTerms::build_portable(black_box(&trace.imap), geom.pad, geom.stride, g),
+        || {
+            let imap = black_box(&trace.imap);
+            PaddedTerms::build_on(imap, geom.pad, geom.stride, g, Metric::Booth, Isa::Portable)
+        },
     );
     assert!(portable == *terms, "portable plane build diverged from the dispatched one");
     records.push(rec);
@@ -427,7 +408,7 @@ fn bench_term_serial(_c: &mut Criterion) {
         3,
         min_total,
         Some(tt.len() as u64),
-        || scheme.tensor_bits_portable(black_box(&tt), Signedness::Signed).div_ceil(8),
+        || scheme.tensor_bits_on(black_box(&tt), Signedness::Signed, Isa::Portable).div_ceil(8),
     );
     assert_eq!(portable, bytes, "portable DeltaD16 footprint diverged from the dispatched one");
     records.push(rec);

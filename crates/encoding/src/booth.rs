@@ -41,13 +41,12 @@
 //! # Lane-parallel counting
 //!
 //! The per-value closed form is three ALU ops plus a popcount, which
-//! lifts directly to lane-parallel form: widen 16-bit values to 32-bit
-//! lanes (carry-safe — `|v| ≤ 2^15` so `3|v| < 2^17` never crosses a
-//! lane), form `u ⊕ 3u` per lane, and popcount all lanes at once.
-//! [`booth_terms_slice`] dispatches to AVX2 (16 lanes, runtime-detected)
-//! or SSE2 (8 lanes, the x86-64 baseline) and falls back to a portable
-//! two-lane u64 SWAR kernel [`booth_terms_slice_swar`] elsewhere. All
-//! paths are asserted byte-identical to the scalar closed form.
+//! lifts directly to lane-parallel form. `booth_terms_lanes_avx2`
+//! counts the sixteen 16-bit lanes of one AVX2 register at once, for
+//! kernels that keep the counts in registers: the term-plane strip of
+//! `diffy_sim::term_serial` sums and maximizes them in place, and its
+//! portable strip calls [`booth_terms`] per lane. A unit test there runs
+//! the lane function on every `i16` against the closed form.
 
 use std::ops::Deref;
 
@@ -244,9 +243,8 @@ pub fn booth_terms_i32(v: i32) -> u32 {
 /// The innermost operation of the cycle models, executed once per
 /// weight-activation pair. Closed form `popcount(v XOR 3v)` at 32-bit
 /// width — a handful of ALU ops with no table (the previous 64 K-entry
-/// lookup table occupied all of L1 and serialized on loads). For bulk
-/// counting use [`booth_terms_slice`], which processes several lanes per
-/// instruction.
+/// lookup table occupied all of L1 and serialized on loads). Kernels that
+/// count sixteen values at once use `booth_terms_lanes_avx2`.
 ///
 /// # Example
 ///
@@ -264,145 +262,16 @@ pub fn booth_terms(v: i16) -> u32 {
     (x ^ (x * 3)).count_ones()
 }
 
-/// Per-lane NAF weights of two zero-extended 16-bit values packed in the
-/// 32-bit lanes of `x` (payloads in bits 0..16 and 32..48). Returns the
-/// counts in bits 0..6 and 32..38.
-///
-/// Carry safety: after the per-lane absolute value (`|v| ≤ 2^15`, NAF
-/// weight is symmetric under negation) the intermediate `3u ≤ 3·2^15 <
-/// 2^17` stays inside its 32-bit lane, so the shared shifts and adds of
-/// the SWAR popcount never leak significant bits across lanes.
-#[inline]
-fn naf_weight_lanes2(x: u64) -> u64 {
-    const ONES: u64 = 0x0000_0001_0000_0001;
-    let sign = (x >> 15) & ONES;
-    let mask = (sign << 16).wrapping_sub(sign); // 0xFFFF per negative lane
-    let u = (x ^ mask) + sign; // |v| per lane (two's complement in 16 bits)
-    let t = u ^ (u + (u << 1)); // u XOR 3u, <= 17 significant bits per lane
-    // SWAR popcount; lane payloads are narrow enough that no stage mixes
-    // lanes (the masks zero every bit that crosses).
-    let t = t - ((t >> 1) & 0x5555_5555_5555_5555);
-    let t = (t & 0x3333_3333_3333_3333) + ((t >> 2) & 0x3333_3333_3333_3333);
-    let t = (t + (t >> 4)) & 0x0F0F_0F0F_0F0F_0F0F;
-    let t = t + (t >> 8);
-    let t = t + (t >> 16);
-    t & 0x0000_003F_0000_003F
-}
-
-/// Portable lane-parallel bulk term counter: two 32-bit lanes per u64,
-/// two u64s in flight per iteration (4 values), amortizing one SWAR
-/// popcount chain over the lanes. The scalar-u64 fallback of
-/// [`booth_terms_slice`] and the cross-check oracle for the SIMD paths.
-///
-/// # Panics
-///
-/// Panics if `src` and `dst` differ in length.
-pub fn booth_terms_slice_swar(src: &[i16], dst: &mut [u8]) {
-    assert_eq!(src.len(), dst.len(), "src/dst length mismatch");
-    let mut vals = src.chunks_exact(4);
-    let mut outs = dst.chunks_exact_mut(4);
-    for (c, o) in (&mut vals).zip(&mut outs) {
-        let x02 = (c[0] as u16 as u64) | ((c[2] as u16 as u64) << 32);
-        let x13 = (c[1] as u16 as u64) | ((c[3] as u16 as u64) << 32);
-        let a = naf_weight_lanes2(x02);
-        let b = naf_weight_lanes2(x13);
-        o[0] = a as u8;
-        o[1] = b as u8;
-        o[2] = (a >> 32) as u8;
-        o[3] = (b >> 32) as u8;
-    }
-    for (&v, o) in vals.remainder().iter().zip(outs.into_remainder()) {
-        *o = booth_terms(v) as u8;
-    }
-}
-
-/// SSE2 bulk term counter: 8 values per iteration. SSE2 is part of the
-/// x86-64 baseline, so this path needs no runtime detection.
-///
-/// # Panics
-///
-/// Panics if `src` and `dst` differ in length.
-#[cfg(target_arch = "x86_64")]
-#[doc(hidden)]
-pub fn booth_terms_slice_sse2(src: &[i16], dst: &mut [u8]) {
-    assert_eq!(src.len(), dst.len(), "src/dst length mismatch");
-    // SAFETY: SSE2 is unconditionally available on x86_64; pointer
-    // arithmetic stays within the equal-length slices.
-    unsafe { sse2_kernel(src, dst) }
-}
-
-#[cfg(target_arch = "x86_64")]
-unsafe fn sse2_kernel(src: &[i16], dst: &mut [u8]) {
-    use std::arch::x86_64::*;
-    let zero = _mm_setzero_si128();
-    let m55 = _mm_set1_epi32(0x5555_5555);
-    let m33 = _mm_set1_epi32(0x3333_3333);
-    let m0f = _mm_set1_epi32(0x0f0f_0f0f);
-    let m3f = _mm_set1_epi32(0x3f);
-    // Per-lane popcount of `u XOR 3u` over 4 × u32 lanes.
-    let naf_pc = |u: __m128i| -> __m128i {
-        let t = _mm_xor_si128(u, _mm_add_epi32(u, _mm_slli_epi32(u, 1)));
-        let t = _mm_sub_epi32(t, _mm_and_si128(_mm_srli_epi32(t, 1), m55));
-        let t = _mm_add_epi32(_mm_and_si128(t, m33), _mm_and_si128(_mm_srli_epi32(t, 2), m33));
-        let t = _mm_and_si128(_mm_add_epi32(t, _mm_srli_epi32(t, 4)), m0f);
-        let t = _mm_add_epi32(t, _mm_srli_epi32(t, 8));
-        let t = _mm_add_epi32(t, _mm_srli_epi32(t, 16));
-        _mm_and_si128(t, m3f)
-    };
-    let n = src.len() / 8 * 8;
-    let mut i = 0;
-    while i < n {
-        let v = _mm_loadu_si128(src.as_ptr().add(i) as *const __m128i);
-        // |v| as 16-bit magnitudes (i16::MIN maps to 0x8000 = 2^15, which
-        // zero-extends correctly below).
-        let sgn = _mm_srai_epi16(v, 15);
-        let a = _mm_sub_epi16(_mm_xor_si128(v, sgn), sgn);
-        // Carry-safe widening to 32-bit lanes.
-        let clo = naf_pc(_mm_unpacklo_epi16(a, zero)); // values 0..4
-        let chi = naf_pc(_mm_unpackhi_epi16(a, zero)); // values 4..8
-        // Counts are <= 9, so the saturating packs are exact.
-        let packed = _mm_packus_epi16(_mm_packs_epi32(clo, chi), zero);
-        _mm_storel_epi64(dst.as_mut_ptr().add(i) as *mut __m128i, packed);
-        i += 8;
-    }
-    for k in n..src.len() {
-        dst[k] = booth_terms(src[k]) as u8;
-    }
-}
-
-/// AVX2 bulk term counter: 32 values per iteration. Only called after
-/// runtime feature detection.
-///
-/// Unlike the SSE2 kernel this one never widens to 32-bit lanes: `3u`
-/// is computed modulo 2^16 inside the 16-bit lanes and the single lost
-/// bit — bit 16 of `3u`, which `u < 2^16` cannot touch in the XOR — is
-/// recovered exactly as the `mulhi_epu16(u, 3)` carry and added back
-/// after a `pshufb` nibble-table popcount of the low 16 bits. Twice the
-/// lane density plus the cheaper popcount roughly doubles throughput
-/// over the widening SWAR form.
-///
-/// # Panics
-///
-/// Panics if `src` and `dst` differ in length, or (in debug builds) if
-/// invoked without AVX2 support.
-#[cfg(target_arch = "x86_64")]
-#[doc(hidden)]
-pub fn booth_terms_slice_avx2(src: &[i16], dst: &mut [u8]) {
-    assert_eq!(src.len(), dst.len(), "src/dst length mismatch");
-    debug_assert!(std::is_x86_feature_detected!("avx2"));
-    // SAFETY: callers (and the dispatcher) verify AVX2 via runtime
-    // detection; pointer arithmetic stays within the equal-length slices.
-    unsafe { avx2_kernel(src, dst) }
-}
-
 /// The NAF weights of the 16 `i16` lanes of `v`, one count per 16-bit
-/// lane: popcount(u ^ 3u) where `u = |v| ≤ 2^15`. The lane function of
-/// [`booth_terms_slice_avx2`], for kernels that keep the counts in
-/// registers (the term-plane build sums and maximizes them in place).
+/// lane: popcount(u ^ 3u) where `u = |v| ≤ 2^15`, for kernels that keep
+/// the counts in registers (the term-plane build sums and maximizes them
+/// in place).
 ///
-/// The low 16 bits of the XOR live in-lane; the 17th bit equals the
-/// carry-out of `3u` (u itself has no bit 16), which `mulhi_epu16`
-/// yields exactly since `3u < 2^17`.
+/// The lanes never widen: `3u` is computed modulo 2^16 inside the 16-bit
+/// lanes, and the single lost bit — bit 16 of `3u`, which `u < 2^16`
+/// cannot touch in the XOR — is recovered exactly as the
+/// `mulhi_epu16(u, 3)` carry (`3u < 2^17`) and added back after a
+/// `pshufb` nibble-table popcount of the low 16 bits.
 #[cfg(target_arch = "x86_64")]
 #[doc(hidden)]
 #[inline]
@@ -429,54 +298,6 @@ pub fn booth_terms_lanes_avx2(v: std::arch::x86_64::__m256i) -> std::arch::x86_6
         _mm256_add_epi8(_mm256_shuffle_epi8(nibble_pc, lo), _mm256_shuffle_epi8(nibble_pc, hi));
     // Pairwise byte sums -> per-16-bit-lane popcount, plus the carry.
     _mm256_add_epi16(_mm256_maddubs_epi16(cnt8, _mm256_set1_epi8(1)), carry)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn avx2_kernel(src: &[i16], dst: &mut [u8]) {
-    use std::arch::x86_64::*;
-    let n = src.len() / 32 * 32;
-    let mut i = 0;
-    while i < n {
-        let c0 = booth_terms_lanes_avx2(_mm256_loadu_si256(src.as_ptr().add(i) as *const __m256i));
-        let c1 =
-            booth_terms_lanes_avx2(_mm256_loadu_si256(src.as_ptr().add(i + 16) as *const __m256i));
-        // packus interleaves the two vectors' 128-bit halves; the
-        // permute restores storage order. Counts are <= 9, so the
-        // saturating pack is exact.
-        let packed = _mm256_permute4x64_epi64(_mm256_packus_epi16(c0, c1), 0b11_01_10_00);
-        _mm256_storeu_si256(dst.as_mut_ptr().add(i) as *mut __m256i, packed);
-        i += 32;
-    }
-    for k in n..src.len() {
-        dst[k] = booth_terms(src[k]) as u8;
-    }
-}
-
-/// Bulk effectual-term counting: `dst[i] = booth_terms(src[i])` for every
-/// element, several lanes per instruction.
-///
-/// Dispatch policy: AVX2 (16 lanes) when the CPU reports it at runtime,
-/// else SSE2 (8 lanes, the x86-64 baseline); other architectures use the
-/// portable u64 SWAR kernel ([`booth_terms_slice_swar`]). Every path is
-/// byte-identical to the scalar closed form — the term-plane builders
-/// rely on this for their bit-identity gates.
-///
-/// # Panics
-///
-/// Panics if `src` and `dst` differ in length.
-pub fn booth_terms_slice(src: &[i16], dst: &mut [u8]) {
-    assert_eq!(src.len(), dst.len(), "src/dst length mismatch");
-    #[cfg(target_arch = "x86_64")]
-    {
-        if std::is_x86_feature_detected!("avx2") {
-            booth_terms_slice_avx2(src, dst)
-        } else {
-            booth_terms_slice_sse2(src, dst)
-        }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    booth_terms_slice_swar(src, dst)
 }
 
 #[cfg(test)]
@@ -631,87 +452,5 @@ mod tests {
         for v in (i16::MIN..=i16::MAX).step_by(37) {
             assert_eq!(booth_terms(v), booth_terms_i32(v as i32));
         }
-    }
-
-    /// Adversarial lane-kernel inputs: saturated, alternating, sign
-    /// boundaries, plus a pseudo-random stretch, at lengths that exercise
-    /// every tail size of the 4/8/16-lane kernels.
-    fn adversarial_inputs() -> Vec<Vec<i16>> {
-        let mut cases = vec![
-            vec![],
-            vec![i16::MIN],
-            vec![i16::MAX; 3],
-            vec![0x5555u16 as i16; 17],
-            vec![0xAAAAu16 as i16; 19],
-            vec![-1; 33],
-            (i16::MIN..i16::MIN + 40).collect(),
-            (i16::MAX - 40..=i16::MAX).collect(),
-            (-40..40).collect(),
-        ];
-        for len in [1usize, 4, 7, 8, 15, 16, 17, 31, 32, 33, 64, 100, 257] {
-            cases.push(
-                (0..len)
-                    .map(|i| ((i as u64).wrapping_mul(0x9E3779B97F4A7C15) >> 43) as i16)
-                    .collect(),
-            );
-        }
-        // Alternating extremes stress the abs + widening path.
-        cases.push((0..129).map(|i| if i % 2 == 0 { i16::MIN } else { i16::MAX }).collect());
-        cases
-    }
-
-    #[test]
-    fn swar_kernel_matches_scalar() {
-        for vals in adversarial_inputs() {
-            let mut got = vec![0u8; vals.len()];
-            booth_terms_slice_swar(&vals, &mut got);
-            let want: Vec<u8> = vals.iter().map(|&v| booth_terms(v) as u8).collect();
-            assert_eq!(got, want, "len={}", vals.len());
-        }
-    }
-
-    #[test]
-    fn dispatched_kernel_matches_scalar() {
-        for vals in adversarial_inputs() {
-            let mut got = vec![0u8; vals.len()];
-            booth_terms_slice(&vals, &mut got);
-            let want: Vec<u8> = vals.iter().map(|&v| booth_terms(v) as u8).collect();
-            assert_eq!(got, want, "len={}", vals.len());
-        }
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[test]
-    fn simd_kernels_match_scalar() {
-        for vals in adversarial_inputs() {
-            let want: Vec<u8> = vals.iter().map(|&v| booth_terms(v) as u8).collect();
-            let mut got = vec![0u8; vals.len()];
-            booth_terms_slice_sse2(&vals, &mut got);
-            assert_eq!(got, want, "sse2 len={}", vals.len());
-            if std::is_x86_feature_detected!("avx2") {
-                got.fill(0xFF);
-                booth_terms_slice_avx2(&vals, &mut got);
-                assert_eq!(got, want, "avx2 len={}", vals.len());
-            }
-        }
-    }
-
-    #[test]
-    fn slice_kernel_exhaustive_over_i16() {
-        // Every 16-bit value through the dispatched lane kernel in one
-        // pass, compared against the reference digit walk.
-        let vals: Vec<i16> = (i16::MIN..=i16::MAX).collect();
-        let mut got = vec![0u8; vals.len()];
-        booth_terms_slice(&vals, &mut got);
-        for (&v, &g) in vals.iter().zip(&got) {
-            assert_eq!(g as u32, booth_terms_i32_reference(v as i32), "v={v}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn slice_kernel_rejects_mismatched_lengths() {
-        let mut dst = [0u8; 3];
-        booth_terms_slice(&[1, 2], &mut dst);
     }
 }

@@ -35,9 +35,6 @@ pub mod precision;
 pub mod schemes;
 pub mod terms;
 
-pub use booth::{
-    booth_digits, booth_terms, booth_terms_i32, booth_terms_i32_reference, booth_terms_slice,
-    booth_terms_slice_swar,
-};
+pub use booth::{booth_digits, booth_terms, booth_terms_i32, booth_terms_i32_reference};
 pub use delta::{delta_rows, delta_row_wrapping_into, undelta_rows};
 pub use schemes::StorageScheme;

@@ -18,18 +18,19 @@
 //!
 //! The dynamic schemes' footprints are counted without encoding, from the
 //! OR of each group's sign folds. Groups whose size is a multiple of 16
-//! run through an AVX2 kernel when the CPU has it (runtime-detected, like
-//! the Booth counter and the inference conv); the portable loop counts
-//! every other group size, a row's partial last group and non-x86
-//! targets, and is the kernel's oracle. Because every row is encoded on
-//! its own, [`StorageScheme::tensor_bits`] splits a large tensor's `C·H`
-//! rows into row bands on the cores ([`diffy_tensor::bands`]) and sums
-//! their bits; either counter runs unchanged inside each band.
+//! run through an AVX2 kernel on [`Isa::Avx2`](diffy_tensor::Isa) (the
+//! one runtime choice the inference conv and the term-plane strip also
+//! match on); the portable loop counts every other group size, a row's
+//! partial last group and every other [`Isa`], and is the kernel's
+//! oracle. Because every row is encoded on its own,
+//! [`StorageScheme::tensor_bits`] splits a large tensor's `C·H` rows into
+//! row bands on the cores ([`diffy_tensor::bands`]) and sums their bits;
+//! either counter runs unchanged inside each band.
 
 use crate::bitstream::{BitReader, BitWriter};
 use crate::delta::{delta_slice_wrapping, undelta_slice_wrapping};
 use crate::precision::{value_bits, Signedness, GROUP_HEADER_BITS};
-use diffy_tensor::{bands, Tensor3};
+use diffy_tensor::{bands, Isa, Tensor3};
 use std::fmt;
 
 /// Bits per entry of the run-length schemes: a 16-bit value plus a 4-bit
@@ -83,30 +84,19 @@ impl StorageScheme {
     /// counted in one pass that allocates nothing and forms the deltas as
     /// it goes.
     pub fn row_bits(&self, row: &[i16], signedness: Signedness) -> u64 {
-        self.row_bits_on(row, signedness, Footprint::detect())
+        self.row_bits_on(row, signedness, Isa::detect())
     }
 
-    /// [`StorageScheme::row_bits`] on the portable footprint loop,
-    /// whatever the CPU.
+    /// [`StorageScheme::row_bits`] with the footprint counter of `isa`,
+    /// which counts the same bits on every [`Isa`].
     #[doc(hidden)]
-    pub fn row_bits_portable(&self, row: &[i16], signedness: Signedness) -> u64 {
-        self.row_bits_on(row, signedness, Footprint::Portable)
-    }
-
-    /// [`StorageScheme::row_bits`] with the AVX2 footprint kernel, or
-    /// `None` when the CPU lacks AVX2.
-    #[doc(hidden)]
-    pub fn row_bits_avx2(&self, row: &[i16], signedness: Signedness) -> Option<u64> {
-        Footprint::avx2().map(|path| self.row_bits_on(row, signedness, path))
-    }
-
-    fn row_bits_on(&self, row: &[i16], signedness: Signedness, path: Footprint) -> u64 {
+    pub fn row_bits_on(&self, row: &[i16], signedness: Signedness, isa: Isa) -> u64 {
         match *self {
             StorageScheme::NoCompression => 16 * row.len() as u64,
             StorageScheme::Profiled { bits } => bits as u64 * row.len() as u64,
-            StorageScheme::RawDynamic { group } => path.dynamic_bits(row, group, signedness, false),
+            StorageScheme::RawDynamic { group } => dynamic_bits(isa, row, group, signedness, false),
             StorageScheme::DeltaDynamic { group } => {
-                path.dynamic_bits(row, group, Signedness::Signed, true)
+                dynamic_bits(isa, row, group, Signedness::Signed, true)
             }
             StorageScheme::RleZ => rlez_entries(row) * RLE_ENTRY_BITS,
             StorageScheme::Rle => rle_entries(row) * RLE_ENTRY_BITS,
@@ -117,14 +107,14 @@ impl StorageScheme {
     /// independently. A large tensor counts its `C·H` rows in row bands
     /// ([`bands::count`] over its `C·H·W` values) and sums their bits.
     pub fn tensor_bits(&self, t: &Tensor3<i16>, signedness: Signedness) -> u64 {
-        self.tensor_bits_in_bands(t, signedness, Footprint::detect(), bands::count(t.len()))
+        self.tensor_bits_on(t, signedness, Isa::detect())
     }
 
-    /// [`StorageScheme::tensor_bits`] on the portable footprint loop,
-    /// whatever the CPU, in the same row bands.
+    /// [`StorageScheme::tensor_bits`] with the footprint counter of
+    /// `isa`, in the same row bands.
     #[doc(hidden)]
-    pub fn tensor_bits_portable(&self, t: &Tensor3<i16>, signedness: Signedness) -> u64 {
-        self.tensor_bits_in_bands(t, signedness, Footprint::Portable, bands::count(t.len()))
+    pub fn tensor_bits_on(&self, t: &Tensor3<i16>, signedness: Signedness, isa: Isa) -> u64 {
+        self.tensor_bits_in_bands(t, signedness, isa, bands::count(t.len()))
     }
 
     /// The tensor footprint with the `C·H` rows cut into `bands` row
@@ -134,12 +124,12 @@ impl StorageScheme {
         &self,
         t: &Tensor3<i16>,
         signedness: Signedness,
-        path: Footprint,
+        isa: Isa,
         bands: usize,
     ) -> u64 {
         let (s, values) = (t.shape(), t.as_slice());
         let band_bits = bands::run_rows(s.c * s.h, bands, |rows| {
-            rows.map(|r| self.row_bits_on(&values[r * s.w..][..s.w], signedness, path)).sum::<u64>()
+            rows.map(|r| self.row_bits_on(&values[r * s.w..][..s.w], signedness, isa)).sum::<u64>()
         });
         band_bits.into_iter().sum()
     }
@@ -246,51 +236,24 @@ fn folded_precision(or: u16, signedness: Signedness) -> u32 {
     }
 }
 
-/// The footprint counter the dynamic schemes run: both count the same
-/// bits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Footprint {
-    /// The portable loop, any target and any group size.
-    Portable,
-    /// The AVX2 kernel; only constructed after runtime detection.
-    #[cfg(target_arch = "x86_64")]
-    Avx2,
-}
-
-impl Footprint {
-    /// The AVX2 kernel, when this CPU has AVX2.
-    fn avx2() -> Option<Self> {
+/// Footprint of a row under dynamic per-group precision: a header plus
+/// `precision × len` bits per group. With `delta` the groups hold the
+/// row-anchored wrapping deltas `row[x] - row[x - 1]` (`row[-1] = 0`). On
+/// [`Isa::Avx2`](diffy_tensor::Isa) the AVX2 kernel counts the full groups
+/// of sizes that are a multiple of 16; the portable loop counts the rest.
+fn dynamic_bits(isa: Isa, row: &[i16], group: usize, signedness: Signedness, delta: bool) -> u64 {
+    assert!(group > 0, "group size must be positive");
+    match isa {
         #[cfg(target_arch = "x86_64")]
-        if std::is_x86_feature_detected!("avx2") {
-            return Some(Footprint::Avx2);
+        Isa::Avx2 { .. } if group.is_multiple_of(16) => {
+            let full = row.len() / group * group;
+            // SAFETY: `Avx2` exists only after runtime detection, the
+            // guard and the assert above make `group` a positive multiple
+            // of 16, and `full` covers whole groups.
+            let head = unsafe { dynamic_bits_avx2(&row[..full], group, signedness, delta) };
+            head + dynamic_bits_portable(row, full, group, signedness, delta)
         }
-        None
-    }
-
-    /// The fastest counter this CPU supports.
-    fn detect() -> Self {
-        Self::avx2().unwrap_or(Footprint::Portable)
-    }
-
-    /// Footprint of a row under dynamic per-group precision: a header
-    /// plus `precision × len` bits per group. With `delta` the groups
-    /// hold the row-anchored wrapping deltas `row[x] - row[x - 1]`
-    /// (`row[-1] = 0`). The AVX2 kernel counts the full groups of sizes
-    /// that are a multiple of 16; the portable loop counts the rest.
-    fn dynamic_bits(self, row: &[i16], group: usize, signedness: Signedness, delta: bool) -> u64 {
-        assert!(group > 0, "group size must be positive");
-        match self {
-            #[cfg(target_arch = "x86_64")]
-            Footprint::Avx2 if group.is_multiple_of(16) => {
-                let full = row.len() / group * group;
-                // SAFETY: `Avx2` exists only after runtime detection, the
-                // guard and the assert above make `group` a positive
-                // multiple of 16, and `full` covers whole groups.
-                let head = unsafe { dynamic_bits_avx2(&row[..full], group, signedness, delta) };
-                head + dynamic_bits_portable(row, full, group, signedness, delta)
-            }
-            _ => dynamic_bits_portable(row, 0, group, signedness, delta),
-        }
+        _ => dynamic_bits_portable(row, 0, group, signedness, delta),
     }
 }
 
@@ -726,7 +689,6 @@ mod tests {
         let hash = |i: usize| ((i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 50) as i16;
         let signed = Tensor3::from_vec(c, h, w, (0..c * h * w).map(hash).collect());
         let unsigned = signed.map(|v| v & 0x0FFF);
-        let paths = [Some(Footprint::Portable), Footprint::avx2()];
         for scheme in [
             StorageScheme::raw_d(8),
             StorageScheme::raw_d(16),
@@ -737,14 +699,14 @@ mod tests {
             StorageScheme::RleZ,
         ] {
             for (t, sign) in [(&signed, Signedness::Signed), (&unsigned, Signedness::Unsigned)] {
-                for path in paths.into_iter().flatten() {
-                    let one = scheme.tensor_bits_in_bands(t, sign, path, 1);
+                for &isa in Isa::available() {
+                    let one = scheme.tensor_bits_in_bands(t, sign, isa, 1);
                     let rows = (0..c).flat_map(|ch| (0..h).map(move |y| t.row(ch, y)));
-                    let row_bits: u64 = rows.map(|row| scheme.row_bits_on(row, sign, path)).sum();
-                    assert_eq!(one, row_bits, "{scheme} {sign:?} {path:?}");
+                    let row_bits: u64 = rows.map(|row| scheme.row_bits_on(row, sign, isa)).sum();
+                    assert_eq!(one, row_bits, "{scheme} {sign:?} {isa:?}");
                     for bands in [2, 4, 7, c * h, c * h + 1, 4 * c * h] {
-                        let banded = scheme.tensor_bits_in_bands(t, sign, path, bands);
-                        assert_eq!(banded, one, "{scheme} {sign:?} {path:?} {bands} bands");
+                        let banded = scheme.tensor_bits_in_bands(t, sign, isa, bands);
+                        assert_eq!(banded, one, "{scheme} {sign:?} {isa:?} {bands} bands");
                     }
                 }
             }
@@ -755,7 +717,7 @@ mod tests {
                 let bits = StorageScheme::delta_d(16).tensor_bits_in_bands(
                     &empty,
                     Signedness::Signed,
-                    Footprint::detect(),
+                    Isa::detect(),
                     bands,
                 );
                 assert_eq!(bits, 0, "{c}x{h}x{w}, {bands} bands");

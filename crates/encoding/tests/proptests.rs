@@ -7,9 +7,8 @@ use diffy_encoding::delta::{
 };
 use diffy_encoding::precision::Signedness;
 use diffy_encoding::{booth_digits, booth_terms, booth_terms_i32, booth_terms_i32_reference,
-    booth_terms_slice, booth_terms_slice_swar, delta_row_wrapping_into, delta_rows, undelta_rows,
-    StorageScheme};
-use diffy_tensor::Tensor3;
+    delta_row_wrapping_into, delta_rows, undelta_rows, StorageScheme};
+use diffy_tensor::{Isa, Tensor3};
 use proptest::prelude::*;
 
 fn small_tensor3() -> impl Strategy<Value = Tensor3<i16>> {
@@ -34,10 +33,10 @@ fn extreme_tensor3() -> impl Strategy<Value = Tensor3<i16>> {
 
 /// `tensor_bits` must equal the bits `encode_row` writes for every row,
 /// for every lossless scheme, and so must every footprint path on every
-/// row: the dispatched `row_bits`, the portable loop, and the AVX2 kernel
-/// when the CPU has it. RawD and DeltaD run at groups 8 (portable only),
-/// 16, 32 and 256 (the kernel's full groups, the loop's partial last
-/// group) and 4.
+/// row: the dispatched `row_bits` and the counter of every ISA this CPU
+/// runs (the portable loop, and the AVX2 kernel when the CPU has it).
+/// RawD and DeltaD run at groups 8 (portable only), 16, 32 and 256 (the
+/// kernel's full groups, the loop's partial last group) and 4.
 fn assert_tensor_bits_match_encoder(t: &Tensor3<i16>, sign: Signedness) {
     let s = t.shape();
     let dynamic = [4, 8, 16, 32, 256]
@@ -54,13 +53,16 @@ fn assert_tensor_bits_match_encoder(t: &Tensor3<i16>, sign: Signedness) {
                 let bits = w.bit_len() - before;
                 let at = format!("{scheme} {sign:?} {s:?} row ({c}, {y})");
                 assert_eq!(scheme.row_bits(row, sign), bits, "dispatched: {at}");
-                assert_eq!(scheme.row_bits_portable(row, sign), bits, "portable: {at}");
-                if let Some(avx2) = scheme.row_bits_avx2(row, sign) {
-                    assert_eq!(avx2, bits, "avx2: {at}");
+                for &isa in Isa::available() {
+                    assert_eq!(scheme.row_bits_on(row, sign, isa), bits, "{isa:?}: {at}");
                 }
             }
         }
         assert_eq!(scheme.tensor_bits(t, sign), w.bit_len(), "{scheme} {sign:?} {:?}", s);
+        for &isa in Isa::available() {
+            let bits = scheme.tensor_bits_on(t, sign, isa);
+            assert_eq!(bits, w.bit_len(), "{scheme} {sign:?} {:?} {isa:?}", s);
+        }
     }
 }
 
@@ -133,19 +135,6 @@ proptest! {
     fn closed_form_matches_digit_walk_reference(v in any::<i32>()) {
         // popcount(v XOR 3v) == the original NAF digit-walking count.
         prop_assert_eq!(booth_terms_i32(v), booth_terms_i32_reference(v));
-    }
-
-    #[test]
-    fn lane_kernels_match_scalar_closed_form(
-        vs in proptest::collection::vec(any::<i16>(), 0..200)
-    ) {
-        let want: Vec<u8> = vs.iter().map(|&v| booth_terms(v) as u8).collect();
-        let mut got = vec![0xFFu8; vs.len()];
-        booth_terms_slice(&vs, &mut got);
-        prop_assert_eq!(&got, &want);
-        got.fill(0xFF);
-        booth_terms_slice_swar(&vs, &mut got);
-        prop_assert_eq!(&got, &want);
     }
 
     #[test]

@@ -26,7 +26,6 @@ pub mod float_ref;
 pub mod graph;
 pub mod inference;
 pub mod layer;
-pub mod streaming;
 pub mod trace;
 pub mod weights;
 pub mod zoo;
@@ -34,7 +33,6 @@ pub mod zoo;
 pub use graph::ModelSpec;
 pub use inference::run_network;
 pub use layer::{ConvSpec, LayerSpec};
-pub use streaming::{run_network_streaming, CollectTrace, LayerStatsSink, TraceSink};
 pub use trace::{LayerTrace, NetworkTrace};
 pub use weights::{NetworkWeights, WeightGen};
 pub use zoo::ci::CiModel;

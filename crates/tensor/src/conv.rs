@@ -15,6 +15,7 @@
 //! output stage would (arithmetic shift + saturation).
 
 use crate::fixed::sat16;
+use crate::isa::Isa;
 use crate::shape::ConvGeometry;
 use crate::tensor::{Tensor3, Tensor4};
 
@@ -208,39 +209,18 @@ impl TapPair {
     }
 }
 
-/// The strip kernel a convolution runs: both compute the same exact
-/// segment sums.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Strip {
-    /// Portable Rust, any target.
-    Portable,
-    /// AVX2 `vpmaddwd`; only constructed after runtime detection.
-    #[cfg(target_arch = "x86_64")]
-    Avx2,
-}
-
-impl Strip {
-    /// The fastest strip this CPU supports.
-    fn detect() -> Self {
+/// Adds the i32 sum of one segment's tap pairs over the block at `base`
+/// into `out`, on `isa`'s strip; every strip computes the same exact
+/// segment sums. The caller guarantees every strip read,
+/// `base + pair.off[_] .. + STRIP`, lies inside `act`.
+#[inline]
+fn strip(isa: Isa, act: &[i16], base: usize, pairs: &[TapPair], out: &mut Block) {
+    match isa {
+        Isa::Portable => strip_portable(act, base, pairs, out),
+        // SAFETY: `Avx2` exists only after runtime detection, and the
+        // caller keeps every strip read in bounds.
         #[cfg(target_arch = "x86_64")]
-        if std::is_x86_feature_detected!("avx2") {
-            return Strip::Avx2;
-        }
-        Strip::Portable
-    }
-
-    /// Adds the i32 sum of one segment's tap pairs over the block at
-    /// `base` into `out`. The caller guarantees every strip read,
-    /// `base + pair.off[_] .. + STRIP`, lies inside `act`.
-    #[inline]
-    fn run(self, act: &[i16], base: usize, pairs: &[TapPair], out: &mut Block) {
-        match self {
-            Strip::Portable => strip_portable(act, base, pairs, out),
-            // SAFETY: `Avx2` exists only after runtime detection, and the
-            // caller keeps every strip read in bounds.
-            #[cfg(target_arch = "x86_64")]
-            Strip::Avx2 => unsafe { strip_avx2(act, base, pairs, out) },
-        }
+        Isa::Avx2 => unsafe { strip_avx2(act, base, pairs, out) },
     }
 }
 
@@ -317,9 +297,9 @@ unsafe fn strip_avx2(act: &[i16], base: usize, pairs: &[TapPair], out: &mut Bloc
 /// The imap is copied once into a zero-padded buffer whose rows are split
 /// into `stride` column phases, so every filter tap reads one contiguous
 /// 16-column strip at any stride. For each block of 4 filters × 16 output
-/// columns, every tap streams past i32 accumulators held in registers
-/// (AVX2 when the CPU has it, else a portable strip of the same
-/// algorithm). The taps are cut into segments whose i32 sums provably
+/// columns, every tap streams past i32 accumulators held in registers,
+/// on the strip of [`Isa::detect`] (AVX2 when the CPU has it, else a
+/// portable strip of the same algorithm). The taps are cut into segments whose i32 sums provably
 /// cannot overflow for this imap's largest magnitude, and each segment's
 /// sum is added into the i64 output, so the result is exact for every
 /// input.
@@ -333,15 +313,18 @@ pub fn conv2d_fast(
     bias: Option<&[i64]>,
     geom: ConvGeometry,
 ) -> Tensor3<i64> {
-    conv2d_output_stationary(imap, fmaps, bias, geom, Strip::detect())
+    conv2d_fast_on(imap, fmaps, bias, geom, Isa::detect())
 }
 
-fn conv2d_output_stationary(
+/// [`conv2d_fast`] on the strip of `isa`, which computes the same
+/// result on every [`Isa`].
+#[doc(hidden)]
+pub fn conv2d_fast_on(
     imap: &Tensor3<i16>,
     fmaps: &Tensor4<i16>,
     bias: Option<&[i64]>,
     geom: ConvGeometry,
-    strip: Strip,
+    isa: Isa,
 ) -> Tensor3<i64> {
     let ishape = imap.shape();
     let fshape = fmaps.shape();
@@ -405,7 +388,7 @@ fn conv2d_output_stationary(
                 }
                 let base = oy * s * row_len + sx * STRIP;
                 for seg in &plan.segments[segments.clone()] {
-                    strip.run(&act, base, &plan.pairs[seg.clone()], &mut block);
+                    strip(isa, &act, base, &plan.pairs[seg.clone()], &mut block);
                 }
                 let x0 = sx * STRIP;
                 let xn = STRIP.min(oshape.w - x0);
@@ -597,18 +580,6 @@ mod tests {
         assert_eq!(out.as_slice(), &[-1, 0]);
     }
 
-    /// Every strip kernel this CPU runs: the portable one always, AVX2
-    /// when detected, so AVX2 hosts also exercise the fallback.
-    fn strips() -> Vec<Strip> {
-        #[allow(unused_mut)]
-        let mut strips = vec![Strip::Portable];
-        #[cfg(target_arch = "x86_64")]
-        if std::is_x86_feature_detected!("avx2") {
-            strips.push(Strip::Avx2);
-        }
-        strips
-    }
-
     /// `n` deterministic values spread over `-range..=range`.
     fn spread(n: usize, range: i32, salt: u64) -> Vec<i16> {
         (0..n as u64)
@@ -620,7 +591,8 @@ mod tests {
             .collect()
     }
 
-    /// Asserts `conv2d_fast` and every strip kernel reproduce `conv2d`.
+    /// Asserts `conv2d_fast` and the strip of every ISA this CPU runs
+    /// reproduce `conv2d`, so AVX2 hosts also test the portable strip.
     fn assert_fast_matches(
         imap: &Tensor3<i16>,
         fmaps: &Tensor4<i16>,
@@ -630,9 +602,8 @@ mod tests {
         let want = conv2d(imap, fmaps, bias, geom);
         let ctx = format!("imap {:?} fmaps {:?} {geom:?}", imap.shape(), fmaps.shape());
         assert_eq!(conv2d_fast(imap, fmaps, bias, geom), want, "dispatched, {ctx}");
-        for strip in strips() {
-            let got = conv2d_output_stationary(imap, fmaps, bias, geom, strip);
-            assert_eq!(got, want, "{strip:?}, {ctx}");
+        for &isa in Isa::available() {
+            assert_eq!(conv2d_fast_on(imap, fmaps, bias, geom, isa), want, "{isa:?}, {ctx}");
         }
     }
 

@@ -23,6 +23,9 @@
 //! * [`bands`] — the process's core count and the one split of a stage's
 //!   independent rows into bands on scoped threads, which the plane
 //!   build, the storage-scheme footprints and the window walk share.
+//! * [`isa`] — the one runtime choice of instruction set, [`Isa`], which
+//!   every SIMD kernel (the inference conv's strip, the term-plane strip
+//!   and the storage-scheme footprint kernel) matches on.
 //!
 //! # Example
 //!
@@ -43,6 +46,7 @@
 pub mod bands;
 pub mod conv;
 pub mod fixed;
+pub mod isa;
 pub mod ops;
 pub mod shape;
 pub mod stats;
@@ -50,5 +54,6 @@ pub mod tensor;
 
 pub use conv::{conv2d, conv2d_fast, conv2d_im2col, requantize};
 pub use fixed::{sat16, Act, Quantizer, ACT_BITS};
+pub use isa::Isa;
 pub use shape::{ConvGeometry, Shape3, Shape4};
 pub use tensor::{Tensor3, Tensor4};

@@ -17,6 +17,12 @@
 //! AVX2 footprint kernel: RawD8 stays on the portable path, RawD256 takes
 //! the kernel. No rewrite may move a single digest. On a mismatch the test prints the full
 //! computed table.
+//!
+//! The digests come from the dispatched kernels. The same test runs every
+//! layer's conv and every tensor's dynamic-scheme footprints on every
+//! instruction set this CPU runs (`Isa::available()`), and each must
+//! equal the dispatched result; by induction over the layers, the
+//! portable strips then reproduce every digest.
 
 use diffy::core::artifact::fnv1a64;
 use diffy::core::runner::{
@@ -24,8 +30,10 @@ use diffy::core::runner::{
 };
 use diffy::core::{network_scheme_traffic, SchemeChoice};
 use diffy::encoding::StorageScheme;
+use diffy::memsys::traffic::tensor_signedness;
 use diffy::models::{CiModel, ClassModel, NetworkTrace};
-use diffy::tensor::Tensor3;
+use diffy::tensor::conv::conv2d_fast_on;
+use diffy::tensor::{conv2d_fast, Isa, Tensor3};
 
 /// The scheme choices whose traffic vectors are pinned, in column order
 /// after the tensor digest.
@@ -73,6 +81,42 @@ fn traffic_digest(trace: &NetworkTrace, scheme: SchemeChoice) -> u64 {
     fnv1a64(&bytes)
 }
 
+/// Asserts that the conv of every layer of `trace` and the dynamic-scheme
+/// footprints of every tensor it holds come out the same on every ISA as
+/// on the dispatched kernels. The conv runs without bias: the bias seeds
+/// the output block before any strip runs, so it cannot tell the strips
+/// apart.
+fn assert_every_isa_matches_dispatch(name: &str, trace: &NetworkTrace) {
+    let dynamic: Vec<StorageScheme> = schemes()
+        .into_iter()
+        .filter_map(|choice| match choice {
+            SchemeChoice::Scheme(
+                scheme @ (StorageScheme::RawDynamic { .. } | StorageScheme::DeltaDynamic { .. }),
+            ) => Some(scheme),
+            _ => None,
+        })
+        .collect();
+    for layer in &trace.layers {
+        let (imap, fmaps, geom) = (&layer.imap, &layer.fmaps, layer.geom);
+        let dispatched = conv2d_fast(imap, fmaps, None, geom);
+        for &isa in Isa::available() {
+            let got = conv2d_fast_on(imap, fmaps, None, geom, isa);
+            assert!(got == dispatched, "{name} {}: conv on {isa:?} diverged", layer.name);
+        }
+    }
+    let tensors = trace.layers.iter().map(|l| (l.name.as_str(), &l.imap));
+    for (what, t) in tensors.chain([("output", &trace.output)]) {
+        let sign = tensor_signedness(t);
+        for &scheme in &dynamic {
+            let dispatched = scheme.tensor_bits(t, sign);
+            for &isa in Isa::available() {
+                let got = scheme.tensor_bits_on(t, sign, isa);
+                assert_eq!(got, dispatched, "{name} {what}: {scheme} on {isa:?} diverged");
+            }
+        }
+    }
+}
+
 fn bundles() -> Vec<(String, TraceBundle)> {
     let opts = WorkloadOptions::test_small();
     let mut out: Vec<(String, TraceBundle)> = CiModel::ALL
@@ -104,6 +148,7 @@ fn inference_tensors_and_traffic_match_pinned_digests() {
     let actual: Vec<(String, [u64; 10])> = bundles()
         .into_iter()
         .map(|(name, b)| {
+            assert_every_isa_matches_dispatch(&name, &b.trace);
             let mut row = [0u64; 10];
             row[0] = tensors_digest(&b.trace);
             for (slot, scheme) in row[1..].iter_mut().zip(schemes()) {

@@ -3,6 +3,10 @@
 //! engine's activations bit-for-bit, write exactly the deltas the storage
 //! schemes assume, and count exactly the cycles the analytical model
 //! prices.
+//!
+//! The pinned fingerprints are computed from term planes and footprints
+//! on every instruction set this CPU runs (`Isa::available()`), so the
+//! portable strips are held to the same pins as the dispatched ones.
 
 use diffy::core::runner::{ci_trace_bundle, WorkloadOptions};
 use diffy::core::tile::{run_tile, TileConfig};
@@ -11,13 +15,14 @@ use diffy::encoding::StorageScheme;
 use diffy::imaging::datasets::DatasetId;
 use diffy::memsys::traffic::{encoded_bytes, tensor_signedness};
 use diffy::models::{CiModel, LayerTrace};
-use diffy::sim::potential::layer_potential;
-use diffy::sim::stripes::stripes_layer_reference;
+use diffy::sim::potential::layer_potential_with_terms;
+use diffy::sim::stripes::{stripes_layer_reference, stripes_layer_with_planes};
+use diffy::sim::term_serial::Metric;
 use diffy::sim::{
-    stripes_layer, term_serial_layer, term_serial_layer_reference, AcceleratorConfig,
-    LayerCycles, ValueMode,
+    term_serial_layer, term_serial_layer_reference, term_serial_layer_with_terms,
+    AcceleratorConfig, LayerCycles, PaddedTerms, ValueMode,
 };
-use diffy::tensor::{ConvGeometry, Tensor3, Tensor4};
+use diffy::tensor::{ConvGeometry, Isa, Tensor3, Tensor4};
 
 #[test]
 fn tile_emulator_reproduces_network_activations_bit_exactly() {
@@ -105,6 +110,12 @@ fn generated_layer(h: usize, w: usize, geom: ConvGeometry) -> LayerTrace {
     }
 }
 
+/// The planes of `t` at synchronization group `g` under `metric`, built
+/// on the strip of `isa`.
+fn planes_on(t: &LayerTrace, g: usize, metric: Metric, isa: Isa) -> PaddedTerms {
+    PaddedTerms::build_on(&t.imap, t.geom.pad, t.geom.stride, g, metric, isa)
+}
+
 #[test]
 fn term_serial_cycle_fingerprints_are_stable() {
     // Pinned cycle counts for a deterministic layer under the Table IV
@@ -116,11 +127,14 @@ fn term_serial_cycle_fingerprints_are_stable() {
         [(ValueMode::Raw, 930), (ValueMode::Differential, 768)];
     let t = fingerprint_layer();
     let cfg = AcceleratorConfig::table4();
-    for (mode, cycles) in FINGERPRINTS {
-        let optimized = term_serial_layer(&t, &cfg, mode);
-        let reference = term_serial_layer_reference(&t, &cfg, mode);
-        assert_eq!(optimized, reference, "{mode:?}: kernels diverged");
-        assert_eq!(optimized.cycles, cycles, "{mode:?}: fingerprint drift");
+    for &isa in Isa::available() {
+        let terms = planes_on(&t, cfg.terms_per_group, Metric::Booth, isa);
+        for (mode, cycles) in FINGERPRINTS {
+            let optimized = term_serial_layer_with_terms(&t, &cfg, mode, &terms);
+            let reference = term_serial_layer_reference(&t, &cfg, mode);
+            assert_eq!(optimized, reference, "{mode:?} {isa:?}: kernels diverged");
+            assert_eq!(optimized.cycles, cycles, "{mode:?} {isa:?}: fingerprint drift");
+        }
     }
 }
 
@@ -150,7 +164,8 @@ fn sync_group_and_tile_fingerprints_are_stable() {
     // Pinned cycles of the fingerprint layer off the Table IV defaults:
     // T4 and T1 split its 16 channels into 4 and 16 synchronization
     // chunks, and one tile leaves every output row to a single tile.
-    // Both kernels must agree with each other and with the pins.
+    // Both kernels, on the planes of every ISA, must agree with each
+    // other and with the pins.
     const FINGERPRINTS: [(&str, [u64; 2]); 3] =
         [("T4", [3330, 3010]), ("T1", [10805, 11808]), ("1 tile", [3719, 3070])];
     let t = fingerprint_layer();
@@ -159,20 +174,23 @@ fn sync_group_and_tile_fingerprints_are_stable() {
         AcceleratorConfig::table4().with_terms_per_group(1),
         AcceleratorConfig::table4().with_tiles(1),
     ];
-    let actual: Vec<(&str, [u64; 2])> = FINGERPRINTS
-        .iter()
-        .zip(configs)
-        .map(|(&(what, _), cfg)| {
-            let cycles = [ValueMode::Raw, ValueMode::Differential].map(|mode| {
-                let optimized = term_serial_layer(&t, &cfg, mode);
-                let reference = term_serial_layer_reference(&t, &cfg, mode);
-                assert_eq!(optimized, reference, "{what} {mode:?}: kernels diverged");
-                optimized.cycles
-            });
-            (what, cycles)
-        })
-        .collect();
-    assert_eq!(actual, FINGERPRINTS, "fingerprint drift");
+    for &isa in Isa::available() {
+        let actual: Vec<(&str, [u64; 2])> = FINGERPRINTS
+            .iter()
+            .zip(&configs)
+            .map(|(&(what, _), cfg)| {
+                let terms = planes_on(&t, cfg.terms_per_group, Metric::Booth, isa);
+                let cycles = [ValueMode::Raw, ValueMode::Differential].map(|mode| {
+                    let optimized = term_serial_layer_with_terms(&t, cfg, mode, &terms);
+                    let reference = term_serial_layer_reference(&t, cfg, mode);
+                    assert_eq!(optimized, reference, "{what} {mode:?} {isa:?}: kernels diverged");
+                    optimized.cycles
+                });
+                (what, cycles)
+            })
+            .collect();
+        assert_eq!(actual, FINGERPRINTS, "{isa:?}: fingerprint drift");
+    }
 }
 
 #[test]
@@ -184,17 +202,22 @@ fn stripes_and_potential_fingerprints_are_stable() {
     const POTENTIAL: (u64, u64, u64) = (2045952, 664850, 736697);
     let t = fingerprint_layer();
     let cfg = AcceleratorConfig::table4();
-    let stripes = [ValueMode::Raw, ValueMode::Differential].map(|mode| {
-        let fast = stripes_layer(&t, &cfg, mode);
-        assert_eq!(fast, stripes_layer_reference(&t, &cfg, mode), "{mode:?}: kernels diverged");
-        fast.cycles
-    });
-    let p = layer_potential(&t);
-    assert_eq!(
-        (stripes, (p.all_terms, p.raw_terms, p.delta_terms)),
-        (STRIPES, POTENTIAL),
-        "fingerprint drift"
-    );
+    let g = cfg.terms_per_group;
+    for &isa in Isa::available() {
+        let precisions = planes_on(&t, g, Metric::Stripes, isa);
+        let stripes = [ValueMode::Raw, ValueMode::Differential].map(|mode| {
+            let fast = stripes_layer_with_planes(&t, &cfg, mode, &precisions);
+            let reference = stripes_layer_reference(&t, &cfg, mode);
+            assert_eq!(fast, reference, "{mode:?} {isa:?}: kernels diverged");
+            fast.cycles
+        });
+        let p = layer_potential_with_terms(&t, &planes_on(&t, g, Metric::Booth, isa));
+        assert_eq!(
+            (stripes, (p.all_terms, p.raw_terms, p.delta_terms)),
+            (STRIPES, POTENTIAL),
+            "{isa:?}: fingerprint drift"
+        );
+    }
 }
 
 /// The pins of one large layer: term-serial `LayerCycles` (raw, then
@@ -203,50 +226,43 @@ fn stripes_and_potential_fingerprints_are_stable() {
 /// bytes.
 type LargePins = ([LayerCycles; 2], [u64; 2], [u64; 3], [u64; 4]);
 
-/// What the kernels compute on `t`, each checked against its reference
-/// first: the term-serial and Stripes kernels against their loop nests,
-/// the potential against the terms the term-serial reference counts,
-/// and the footprints against the portable loop summed row by row.
+/// The pins of `t`, each taken from its reference: the term-serial and
+/// Stripes loop nests, the potential from the terms the term-serial
+/// reference counts, and the footprints `memsys::traffic` prices. On
+/// every ISA the kernels must reproduce them from planes built on that
+/// ISA's strip, and the footprint counter from its own count.
 fn large_layer_pins(t: &LayerTrace) -> LargePins {
     let cfg = AcceleratorConfig::table4();
     let modes = [ValueMode::Raw, ValueMode::Differential];
-    let term_serial = modes.map(|mode| {
-        let fast = term_serial_layer(t, &cfg, mode);
-        assert_eq!(fast, term_serial_layer_reference(t, &cfg, mode), "{mode:?}: kernels diverged");
-        fast
-    });
-    let stripes = modes.map(|mode| {
-        let fast = stripes_layer(t, &cfg, mode);
-        assert_eq!(fast, stripes_layer_reference(t, &cfg, mode), "{mode:?}: Stripes diverged");
-        fast.cycles
-    });
+    let term_serial = modes.map(|mode| term_serial_layer_reference(t, &cfg, mode));
+    let stripes = modes.map(|mode| stripes_layer_reference(t, &cfg, mode).cycles);
     // The reference's useful slots are its window terms times K, and
     // the potential's effectual totals are the same window terms.
-    let p = layer_potential(t);
     let (out, f) = (t.out_shape(), t.fmaps.shape());
     let fetches = (out.h * out.w * f.h * f.w * f.c) as u64;
     let terms = term_serial.map(|r| r.useful_slots / out.c as u64);
-    assert_eq!(
-        (p.all_terms, p.raw_terms, p.delta_terms),
-        (fetches * 16, terms[0], terms[1]),
-        "potential diverged from the reference's terms"
-    );
-    let s = t.imap.shape();
-    let sign = tensor_signedness(&t.imap);
     let schemes = [
         StorageScheme::delta_d(16),
         StorageScheme::raw_d(8),
         StorageScheme::raw_d(16),
         StorageScheme::raw_d(256),
     ];
-    let bytes = schemes.map(|scheme| {
-        let got = encoded_bytes(&t.imap, scheme);
-        let rows = (0..s.c).flat_map(|c| (0..s.h).map(move |y| t.imap.row(c, y)));
-        let portable: u64 = rows.map(|row| scheme.row_bits_portable(row, sign)).sum();
-        assert_eq!(got, portable.div_ceil(8), "{scheme}: footprint diverged from portable loop");
-        got
-    });
-    (term_serial, stripes, [p.all_terms, p.raw_terms, p.delta_terms], bytes)
+    let bytes = schemes.map(|scheme| encoded_bytes(&t.imap, scheme));
+    let pins = (term_serial, stripes, [fetches * 16, terms[0], terms[1]], bytes);
+    let (g, sign) = (cfg.terms_per_group, tensor_signedness(&t.imap));
+    for &isa in Isa::available() {
+        let (booth, precisions) =
+            (planes_on(t, g, Metric::Booth, isa), planes_on(t, g, Metric::Stripes, isa));
+        let p = layer_potential_with_terms(t, &booth);
+        let on_isa = (
+            modes.map(|mode| term_serial_layer_with_terms(t, &cfg, mode, &booth)),
+            modes.map(|mode| stripes_layer_with_planes(t, &cfg, mode, &precisions).cycles),
+            [p.all_terms, p.raw_terms, p.delta_terms],
+            schemes.map(|scheme| scheme.tensor_bits_on(&t.imap, sign, isa).div_ceil(8)),
+        );
+        assert_eq!(on_isa, pins, "{isa:?}: kernels diverged from the references");
+    }
+    pins
 }
 
 #[test]
