@@ -5,7 +5,7 @@
 //! is configurable without recompiling:
 //!
 //! * `DIFFY_BENCH_RES` — square trace resolution (default 96).
-//! * `DIFFY_BENCH_SAMPLES` — samples per dataset (default 2; the original
+//! * `DIFFY_BENCH_SAMPLES` — samples per dataset (default 1; the original
 //!   corpora are larger — the cap is printed, never silent).
 //! * `DIFFY_BENCH_JOBS` — worker threads for trace generation (default:
 //!   available parallelism). Results are bit-identical and in the same

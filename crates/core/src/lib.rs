@@ -23,6 +23,10 @@
 //! * [`parallel`] — the deterministic sweep engine: a std-only
 //!   scoped-thread job pool with order-stable results and the one
 //!   compute-once keyed cache, unbounded or LRU-bounded.
+//! * [`tile`] — a microarchitectural emulator of one Diffy tile (Figs. 9
+//!   and 10), which the tests hold bit-exact to the inference engine and,
+//!   at one tile, cycle-exact to the analytical model.
+//! * [`reporting`] — the Markdown report behind `diffy report`.
 //! * [`summary`] — fixed-width table formatting shared by the bench
 //!   harness.
 //! * [`trace`] — span tracing across the evaluation pipeline: per-stage
@@ -46,7 +50,6 @@
 
 pub mod accelerator;
 pub mod artifact;
-pub mod datapath;
 pub mod dc;
 pub mod experiment;
 pub mod json;
@@ -55,7 +58,6 @@ pub mod reporting;
 pub mod runner;
 pub mod scaling;
 pub mod summary;
-pub mod system;
 pub mod tile;
 pub mod trace;
 

@@ -68,11 +68,6 @@ pub struct WorkloadOptions {
 }
 
 impl WorkloadOptions {
-    /// Bench defaults: 96×96 traces, 2 samples per dataset.
-    pub fn bench_default() -> Self {
-        Self { resolution: 96, samples_per_dataset: 2, seed: 1 }
-    }
-
     /// Small configuration for tests.
     pub fn test_small() -> Self {
         Self { resolution: 32, samples_per_dataset: 1, seed: 1 }

@@ -14,8 +14,8 @@
 //!   and stride awareness (§III-C/D), plus its exact inverse.
 //! * [`terms`] — per-tensor term statistics and cumulative distributions
 //!   (Fig. 3).
-//! * [`precision`] — profile-derived per-layer precisions (Table III) and
-//!   Dynamic-Stripes-style per-group precision detection (§III-F).
+//! * [`precision`] — the bits one value needs, profile-derived per-layer
+//!   precisions (Table III) and the dynamic schemes' 4-bit group header.
 //! * [`schemes`] — the six storage schemes of Fig. 5/14 (NoCompression,
 //!   RLEz, RLE, Profiled, RawD·, DeltaD·) with bit-exact encode/decode and
 //!   footprint accounting.
@@ -27,7 +27,6 @@
 #![warn(missing_docs)]
 
 pub mod bitstream;
-pub mod bitplanes;
 pub mod booth;
 pub mod delta;
 pub mod entropy;

@@ -1,10 +1,12 @@
-//! Precision detection: profiled per-layer precisions (Table III) and
-//! dynamic per-group precisions (Dynamic Stripes, §III-F).
+//! Precisions: the bits one value needs, profiled per-layer precisions
+//! (Table III) and the group header of the dynamic schemes.
 //!
 //! The paper stores activations in groups of 16 with a 4-bit header giving
-//! the number of bits every activation in the group uses; Diffy applies the
-//! same detection to *deltas*, which — being small for correlated imaps —
-//! need fewer bits per group.
+//! the number of bits every activation in the group uses (Dynamic Stripes,
+//! §III-F); Diffy applies the same detection to *deltas*, which — being
+//! small for correlated imaps — need fewer bits per group. That per-group
+//! footprint is [`StorageScheme::row_bits`](crate::StorageScheme::row_bits)
+//! of the `RawD`/`DeltaD` schemes.
 
 use diffy_tensor::stats::MagnitudeHistogram;
 
@@ -55,43 +57,8 @@ pub fn value_bits(v: i32, signedness: Signedness) -> u32 {
     }
 }
 
-/// Minimal precision covering every value of one group. A group never
-/// reports 0 bits (hardware stores at least one bit per value).
-pub fn group_precision(group: &[i32], signedness: Signedness) -> u32 {
-    group
-        .iter()
-        .map(|&v| value_bits(v, signedness))
-        .max()
-        .unwrap_or(1)
-        .max(1)
-}
-
-/// Per-group precisions for a value stream split into consecutive groups of
-/// `group_size` (the final group may be shorter).
-///
-/// # Panics
-///
-/// Panics if `group_size == 0`.
-pub fn group_precisions(vs: &[i32], group_size: usize, signedness: Signedness) -> Vec<u32> {
-    assert!(group_size > 0, "group size must be positive");
-    vs.chunks(group_size)
-        .map(|g| group_precision(g, signedness))
-        .collect()
-}
-
 /// Number of bits in the 4-bit-per-group header of the dynamic schemes.
 pub const GROUP_HEADER_BITS: u64 = 4;
-
-/// Total encoded bits of a value stream under dynamic per-group precision:
-/// each group costs a 4-bit header plus `precision × group_len` payload
-/// bits. This is the footprint model behind RawD8/RawD16/RawD256 and
-/// DeltaD16/DeltaD256 in Figs. 5 and 14.
-pub fn dynamic_encoded_bits(vs: &[i32], group_size: usize, signedness: Signedness) -> u64 {
-    assert!(group_size > 0, "group size must be positive");
-    vs.chunks(group_size)
-        .map(|g| GROUP_HEADER_BITS + group_precision(g, signedness) as u64 * g.len() as u64)
-        .sum()
-}
 
 /// Profile-derived precision for a whole layer (Table III): the smallest
 /// precision covering the given magnitude `quantile` of the activation
@@ -149,42 +116,6 @@ mod tests {
         assert_eq!(Signedness::detect(&[0, 1, 2]), Signedness::Unsigned);
         assert_eq!(Signedness::detect(&[0, -1, 2]), Signedness::Signed);
         assert_eq!(Signedness::detect(&[]), Signedness::Unsigned);
-    }
-
-    #[test]
-    fn group_precision_is_max_over_group() {
-        assert_eq!(group_precision(&[0, 3, 255], Signedness::Unsigned), 8);
-        assert_eq!(group_precision(&[0, 0, 0], Signedness::Unsigned), 1);
-        assert_eq!(group_precision(&[-1, 1], Signedness::Signed), 2);
-    }
-
-    #[test]
-    fn group_precisions_chunking() {
-        let vs = vec![1, 1, 255, 255, 3];
-        let ps = group_precisions(&vs, 2, Signedness::Unsigned);
-        assert_eq!(ps, vec![1, 8, 2]);
-    }
-
-    #[test]
-    fn dynamic_bits_small_groups_adapt_but_pay_headers() {
-        // 16 tiny values + 16 large values.
-        let mut vs = vec![1i32; 16];
-        vs.extend(vec![255i32; 16]);
-        let d16 = dynamic_encoded_bits(&vs, 16, Signedness::Unsigned);
-        assert_eq!(d16, (4 + 16) + (4 + 16 * 8));
-        let d32 = dynamic_encoded_bits(&vs, 32, Signedness::Unsigned);
-        assert_eq!(d32, 4 + 32 * 8);
-        assert!(d16 < d32);
-    }
-
-    #[test]
-    fn dynamic_bits_headers_dominate_for_tiny_groups() {
-        let vs = vec![0i32; 64];
-        let d1 = dynamic_encoded_bits(&vs, 1, Signedness::Unsigned);
-        let d16 = dynamic_encoded_bits(&vs, 16, Signedness::Unsigned);
-        assert_eq!(d1, 64 * (4 + 1));
-        assert_eq!(d16, 4 * (4 + 16));
-        assert!(d16 < d1);
     }
 
     #[test]

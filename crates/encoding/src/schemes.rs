@@ -671,6 +671,22 @@ mod tests {
         // Single-value rows.
         roundtrip(StorageScheme::raw_d(16), &[42], Signedness::Unsigned);
         roundtrip(StorageScheme::delta_d(16), &[42], Signedness::Unsigned);
+        // Small groups adapt to the local precision but pay a 4-bit
+        // header each: 16 ones then 16 values of 255 cost less in two
+        // groups of 16 than in one of 32, while 64 zeros cost more in
+        // groups of 1 than in groups of 16.
+        let mut steps = vec![1i16; 16];
+        steps.extend([255i16; 16]);
+        let zeros = [0i16; 64];
+        for &isa in Isa::available() {
+            let bits = |row: &[i16], group| {
+                StorageScheme::raw_d(group).row_bits_on(row, Signedness::Unsigned, isa)
+            };
+            assert_eq!(bits(&steps, 16), (4 + 16) + (4 + 16 * 8), "{isa:?}");
+            assert_eq!(bits(&steps, 32), 4 + 32 * 8, "{isa:?}");
+            assert_eq!(bits(&zeros, 1), 64 * (4 + 1), "{isa:?}");
+            assert_eq!(bits(&zeros, 16), 4 * (4 + 16), "{isa:?}");
+        }
     }
 
     #[test]

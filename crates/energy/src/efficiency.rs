@@ -1,80 +1,18 @@
-//! Energy and relative energy efficiency.
+//! Off-chip energy.
 //!
 //! The paper's Table VI derives energy efficiency as
 //! `(speedup) / (power ratio)` — an architecture that is 7.1× faster at
-//! 3.9× the power is 1.83× more energy efficient. The off-chip model adds
-//! the DRAM energy the table deliberately excludes ("these measurements
-//! ignore the off-chip traffic reduction achieved by Diffy").
+//! 3.9× the power is 1.83× more energy efficient — and `tab06_power`
+//! takes that ratio from the measured speedups. The table deliberately
+//! excludes DRAM energy ("these measurements ignore the off-chip traffic
+//! reduction achieved by Diffy"); this module prices it.
 
 /// DRAM access energy per byte, 65 nm-era DDR interface (~150 pJ/byte
 /// including I/O) — roughly two orders of magnitude above on-chip SRAM,
 /// as the paper asserts.
 pub const DRAM_PJ_PER_BYTE: f64 = 150.0;
 
-/// Large on-chip SRAM access energy per byte (~1.5 pJ/byte at 65 nm for
-/// megabyte-class arrays).
-pub const SRAM_PJ_PER_BYTE: f64 = 1.5;
-
-/// Energy in joules of running at `power_w` for `cycles` at
-/// `frequency_ghz`.
-pub fn energy_joules(power_w: f64, cycles: u64, frequency_ghz: f64) -> f64 {
-    power_w * cycles as f64 / (frequency_ghz * 1e9)
-}
-
 /// Off-chip transfer energy in joules.
 pub fn offchip_energy_joules(bytes: u64) -> f64 {
     bytes as f64 * DRAM_PJ_PER_BYTE * 1e-12
-}
-
-/// On-chip SRAM transfer energy in joules.
-pub fn onchip_energy_joules(bytes: u64) -> f64 {
-    bytes as f64 * SRAM_PJ_PER_BYTE * 1e-12
-}
-
-/// Energy efficiency of an architecture relative to a baseline:
-/// `E_base / E_arch` for the same work.
-///
-/// # Panics
-///
-/// Panics if either energy is non-positive.
-pub fn relative_efficiency(base_energy_j: f64, arch_energy_j: f64) -> f64 {
-    assert!(base_energy_j > 0.0 && arch_energy_j > 0.0, "energies must be positive");
-    base_energy_j / arch_energy_j
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn energy_is_power_times_time() {
-        // 5 W for 1e9 cycles at 1 GHz = 5 J.
-        assert!((energy_joules(5.0, 1_000_000_000, 1.0) - 5.0).abs() < 1e-12);
-        // Double frequency halves time.
-        assert!((energy_joules(5.0, 1_000_000_000, 2.0) - 2.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn dram_is_two_orders_of_magnitude_above_sram() {
-        let ratio = DRAM_PJ_PER_BYTE / SRAM_PJ_PER_BYTE;
-        assert!(ratio >= 100.0, "ratio {ratio}");
-        assert!(offchip_energy_joules(1000) > onchip_energy_joules(1000) * 99.0);
-    }
-
-    #[test]
-    fn paper_table6_arithmetic_reproduces() {
-        // Diffy: 7.1x speedup at 3.88x power -> 1.83x efficiency.
-        let vaa_cycles = 7_100u64;
-        let diffy_cycles = 1_000u64;
-        let e_vaa = energy_joules(3.5, vaa_cycles, 1.0);
-        let e_diffy = energy_joules(3.5 * 3.88, diffy_cycles, 1.0);
-        let eff = relative_efficiency(e_vaa, e_diffy);
-        assert!((eff - 1.83).abs() < 0.02, "efficiency {eff}");
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn rejects_zero_energy() {
-        let _ = relative_efficiency(0.0, 1.0);
-    }
 }

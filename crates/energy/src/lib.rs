@@ -6,26 +6,23 @@
 //! analytical model (DESIGN.md §2.4): per-component constants chosen to
 //! match the paper's published per-component breakdowns at the default
 //! Table IV configuration, with first-order scaling in tile count and
-//! SRAM capacity. The model then *derives* totals, normalized ratios and
-//! energy efficiency from measured activity, so experiments that change
-//! the configuration (Fig. 18 scaling) or the AM size (Table V schemes)
-//! respond the way the paper's numbers do.
+//! SRAM capacity. The model then *derives* the totals that Tables VI and
+//! VII normalize to VAA, and a change of tile count or AM size (Table VI
+//! prices Diffy with a 512 KB AM) moves them the way the paper's numbers
+//! move. Table VI's energy efficiency is not modelled here: `tab06_power`
+//! divides the measured speedup over VAA by the power ratio.
 //!
 //! * [`components`] — per-component power/area breakdowns per
 //!   architecture.
-//! * [`activity`] — bottom-up event-level energy from simulator
-//!   activity counts.
-//! * [`efficiency`] — energy, energy efficiency relative to VAA, and the
-//!   off-chip energy model behind the paper's "off-chip accesses are two
-//!   orders of magnitude more expensive" argument.
+//! * [`efficiency`] — the off-chip energy model behind the paper's
+//!   "off-chip accesses are two orders of magnitude more expensive"
+//!   argument.
 
 
 #![warn(missing_docs)]
 
-pub mod activity;
 pub mod components;
 pub mod efficiency;
 
-pub use activity::{activity_energy, ActivityCounts, ActivityEnergy};
 pub use components::{area_breakdown, power_breakdown, Breakdown};
-pub use efficiency::{energy_joules, offchip_energy_joules, relative_efficiency};
+pub use efficiency::offchip_energy_joules;

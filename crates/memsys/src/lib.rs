@@ -16,18 +16,12 @@
 //!   filter set.
 //! * [`overlap`] — the compute/transfer overlap model that turns compute
 //!   cycles + traffic into execution time and stall counts.
-//! * [`dataflow`] — the finer row-granularity three-stage pipeline
-//!   (load next / compute current / store previous) behind that bound.
-//! * [`onchip`] — the dispatcher's AM read-bandwidth demand: how delta
-//!   storage boosts the effective capacity of the on-chip link.
 
 
 #![warn(missing_docs)]
 
 pub mod am;
-pub mod dataflow;
 pub mod offchip;
-pub mod onchip;
 pub mod overlap;
 pub mod traffic;
 pub mod wm;

@@ -18,12 +18,6 @@ pub fn network_wm_bytes(trace: &NetworkTrace) -> u64 {
         .unwrap_or(0)
 }
 
-/// WM bytes needed across several networks (the shared-accelerator
-/// provisioning of Table V).
-pub fn fleet_wm_bytes<'a>(traces: impl IntoIterator<Item = &'a NetworkTrace>) -> u64 {
-    traces.into_iter().map(network_wm_bytes).max().unwrap_or(0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -53,14 +47,6 @@ mod tests {
         let net = mk_net(vec![mk_trace(8, 4), mk_trace(16, 8)]);
         // Largest: 16*8*9 weights * 2 B = 2304 B; doubled = 4608.
         assert_eq!(network_wm_bytes(&net), 2 * 16 * 8 * 9 * 2);
-    }
-
-    #[test]
-    fn fleet_takes_max_over_networks() {
-        let a = mk_net(vec![mk_trace(8, 4)]);
-        let b = mk_net(vec![mk_trace(16, 16)]);
-        assert_eq!(fleet_wm_bytes([&a, &b]), network_wm_bytes(&b));
-        assert_eq!(fleet_wm_bytes(std::iter::empty::<&NetworkTrace>()), 0);
     }
 
     #[test]

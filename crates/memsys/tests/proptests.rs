@@ -2,7 +2,6 @@
 
 use diffy_encoding::precision::Signedness;
 use diffy_encoding::StorageScheme;
-use diffy_memsys::dataflow::{layer_bound_cycles, pipeline_cycles, RowSchedule};
 use diffy_memsys::offchip::{MemoryNode, MemorySystem};
 use diffy_memsys::overlap::combine;
 use diffy_memsys::traffic::LayerTraffic;
@@ -20,37 +19,6 @@ proptest! {
         prop_assert_eq!(t.total_cycles, t.compute_cycles.max(t.memory_cycles));
         prop_assert_eq!(t.stall_cycles, t.total_cycles - t.compute_cycles);
         prop_assert!(t.stall_fraction() >= 0.0 && t.stall_fraction() <= 1.0);
-    }
-
-    #[test]
-    fn pipeline_between_bound_and_serial(
-        rows in 1usize..12,
-        compute in 0u64..100_000,
-        load in 0u64..1_000_000,
-        store in 0u64..1_000_000,
-    ) {
-        let s = RowSchedule::uniform(rows, compute, load, store);
-        let p = pipeline_cycles(&s, &mem(), 1.0);
-        let bound = layer_bound_cycles(&s, &mem(), 1.0);
-        prop_assert!(p >= bound, "pipeline {p} < bound {bound}");
-        // Fully serial upper bound, with per-row rounding slack.
-        let serial = compute
-            + mem().transfer_cycles(load, 1.0)
-            + mem().transfer_cycles(store, 1.0)
-            + 3 * rows as u64;
-        prop_assert!(p <= serial, "pipeline {p} > serial {serial}");
-    }
-
-    #[test]
-    fn more_bandwidth_never_slows_a_schedule(
-        rows in 1usize..8,
-        compute in 0u64..50_000,
-        load in 0u64..500_000,
-    ) {
-        let s = RowSchedule::uniform(rows, compute, load, load / 2);
-        let slow = pipeline_cycles(&s, &MemorySystem::single(MemoryNode::Lpddr3_1600), 1.0);
-        let fast = pipeline_cycles(&s, &MemorySystem::single(MemoryNode::Hbm2), 1.0);
-        prop_assert!(fast <= slow);
     }
 
     #[test]

@@ -1,73 +1,9 @@
-//! Value statistics: magnitude percentiles, moments and histograms.
+//! Value statistics: magnitude percentiles and histograms.
 //!
 //! These feed two parts of the reproduction: profiled per-layer precisions
 //! (Table III — derived from the magnitude distribution of each layer's
 //! activations) and the entropy measurements of Fig. 1 (which need value
 //! histograms).
-
-/// Running first/second-moment accumulator over `i16` samples.
-///
-/// # Example
-///
-/// ```
-/// use diffy_tensor::stats::Moments;
-/// let mut m = Moments::new();
-/// for v in [1i16, 2, 3] { m.push(v); }
-/// assert_eq!(m.count(), 3);
-/// assert!((m.mean() - 2.0).abs() < 1e-12);
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct Moments {
-    n: u64,
-    sum: f64,
-    sum_sq: f64,
-}
-
-impl Moments {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds one sample.
-    pub fn push(&mut self, v: i16) {
-        self.n += 1;
-        self.sum += v as f64;
-        self.sum_sq += (v as f64) * (v as f64);
-    }
-
-    /// Merges another accumulator into this one.
-    pub fn merge(&mut self, other: &Moments) {
-        self.n += other.n;
-        self.sum += other.sum;
-        self.sum_sq += other.sum_sq;
-    }
-
-    /// Number of samples.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Sample mean (0 if empty).
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 { 0.0 } else { self.sum / self.n as f64 }
-    }
-
-    /// Population variance (0 if empty).
-    pub fn variance(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            let m = self.mean();
-            (self.sum_sq / self.n as f64 - m * m).max(0.0)
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-}
 
 /// Histogram over the absolute magnitude of `i16` samples, bucketed exactly
 /// (one bucket per magnitude 0..=32768).
@@ -174,44 +110,6 @@ pub fn cumulative_fractions(counts: &[u64]) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn moments_mean_and_variance() {
-        let mut m = Moments::new();
-        for v in [2i16, 4, 4, 4, 5, 5, 7, 9] {
-            m.push(v);
-        }
-        assert_eq!(m.count(), 8);
-        assert!((m.mean() - 5.0).abs() < 1e-12);
-        assert!((m.variance() - 4.0).abs() < 1e-12);
-        assert!((m.std_dev() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn moments_merge_equals_combined() {
-        let mut a = Moments::new();
-        let mut b = Moments::new();
-        let mut all = Moments::new();
-        for v in [1i16, -5, 3] {
-            a.push(v);
-            all.push(v);
-        }
-        for v in [10i16, 0] {
-            b.push(v);
-            all.push(v);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), all.count());
-        assert!((a.mean() - all.mean()).abs() < 1e-12);
-        assert!((a.variance() - all.variance()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_moments_are_zero() {
-        let m = Moments::new();
-        assert_eq!(m.mean(), 0.0);
-        assert_eq!(m.variance(), 0.0);
-    }
 
     #[test]
     fn histogram_quantiles() {
