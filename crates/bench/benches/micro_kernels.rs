@@ -15,12 +15,14 @@
 //! times the two kernels of a cold evaluation, each gated against its
 //! reference: the inference conv (`conv2d_fast_dncnn64` vs `conv2d`) and
 //! the DeltaD16 traffic footprint (`traffic_deltad16_*` vs the encoder's
-//! bits, with `traffic_deltad16_portable_*` on the portable loop).
+//! bits, with `traffic_deltad16_portable_*` on the portable loop). The
+//! conv runs once more on a real post-ReLU DnCNN layer
+//! (`conv2d_fast_relu_dncnn64`), whose all-zero strips it skips.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use diffy_bench::{bench_smoke, time_kernel, write_bench_json, BenchRecord};
 use diffy_core::dc::differential_conv2d;
-use diffy_core::runner::{EvalPoint, SweepCache, WorkloadOptions};
+use diffy_core::runner::{ci_trace_bundle, datasets_for, EvalPoint, SweepCache, WorkloadOptions};
 use diffy_core::{EvalOptions, SchemeChoice};
 use diffy_encoding::bitstream::BitWriter;
 use diffy_encoding::delta::{delta_rows_wrapping, undelta_rows_wrapping};
@@ -43,6 +45,33 @@ fn pseudo_values(n: usize) -> Vec<i16> {
     (0..n)
         .map(|i| ((i as u64).wrapping_mul(6364136223846793005) >> 48) as i16)
         .collect()
+}
+
+/// Share of the 16-column activation strips `layer`'s conv reads, one
+/// per (output row, 16 output columns, tap), that hold only zeros,
+/// padding included.
+fn zero_strip_share(layer: &LayerTrace) -> f64 {
+    let (imap, fs, g) = (&layer.imap, layer.fmaps.shape(), layer.geom);
+    let os = g.out_shape(imap.shape(), fs);
+    let at = |c, y: usize, x: usize| {
+        imap.at_padded(c, y as isize - g.pad as isize, x as isize - g.pad as isize, 0)
+    };
+    let (mut zero, mut all) = (0u64, 0u64);
+    for oy in 0..os.h {
+        for x0 in (0..os.w).step_by(16) {
+            for c in 0..fs.c {
+                for j in 0..fs.h {
+                    for i in 0..fs.w {
+                        let (y, dx) = (oy * g.stride + j * g.dilation, i * g.dilation);
+                        let mut xs = x0..(x0 + 16).min(os.w);
+                        zero += xs.all(|x| at(c, y, x * g.stride + dx) == 0) as u64;
+                        all += 1;
+                    }
+                }
+            }
+        }
+    }
+    zero as f64 / all as f64
 }
 
 fn bench_booth(c: &mut Criterion) {
@@ -411,6 +440,29 @@ fn bench_term_serial(_c: &mut Criterion) {
         || scheme.tensor_bits_on(black_box(&tt), Signedness::Signed, Isa::Portable).div_ceil(8),
     );
     assert_eq!(portable, bytes, "portable DeltaD16 footprint diverged from the dispatched one");
+    records.push(rec);
+    drop(tt);
+
+    // The inference conv on a real layer: the post-ReLU imap of DnCNN's
+    // conv_10 at 64², seed 1, whose all-zero strips the conv skips (the
+    // dense record above has none). Gated equal to the reference loop
+    // nest.
+    let opts = WorkloadOptions { resolution: 64, samples_per_dataset: 1, seed: 1 };
+    let bundle = ci_trace_bundle(CiModel::DnCnn, datasets_for(CiModel::DnCnn)[0], 0, &opts);
+    let layer =
+        bundle.trace.layers.iter().find(|l| l.name == "conv_10").expect("DnCNN has a conv_10");
+    let (lmap, lfmaps, lgeom) = (&layer.imap, &layer.fmaps, layer.geom);
+    let lshape = lgeom.out_shape(lmap.shape(), lfmaps.shape());
+    let macs = (lshape.len() * lfmaps.filter(0).len()) as u64;
+    let (rec, fast) = time_kernel("conv2d_fast_relu_dncnn64", 3, min_total, Some(macs), || {
+        conv2d_fast(black_box(lmap), black_box(lfmaps), None, lgeom)
+    });
+    assert_eq!(fast, conv2d(lmap, lfmaps, None, lgeom), "conv2d_fast diverged from conv2d");
+    println!(
+        "DnCNN conv_10 at 64^2: {:.1}% of its per-tap 16-column strips are all zero, {:.2} ms",
+        zero_strip_share(layer) * 100.0,
+        rec.wall_ms
+    );
     records.push(rec);
 
     println!(

@@ -21,17 +21,6 @@ pub enum Signedness {
     Signed,
 }
 
-impl Signedness {
-    /// Detects the signedness needed to represent every value in `vs`.
-    pub fn detect(vs: &[i32]) -> Self {
-        if vs.iter().any(|&v| v < 0) {
-            Signedness::Signed
-        } else {
-            Signedness::Unsigned
-        }
-    }
-}
-
 /// Bits needed to represent `v` under the given signedness.
 ///
 /// Unsigned: minimal `p` with `v < 2^p` (so 0 needs 0 bits).
@@ -109,13 +98,6 @@ mod tests {
     #[should_panic(expected = "negative")]
     fn unsigned_rejects_negative() {
         let _ = value_bits(-1, Signedness::Unsigned);
-    }
-
-    #[test]
-    fn detect_signedness() {
-        assert_eq!(Signedness::detect(&[0, 1, 2]), Signedness::Unsigned);
-        assert_eq!(Signedness::detect(&[0, -1, 2]), Signedness::Signed);
-        assert_eq!(Signedness::detect(&[]), Signedness::Unsigned);
     }
 
     #[test]

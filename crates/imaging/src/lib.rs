@@ -15,8 +15,6 @@
 //!   (nature / city / texture).
 //! * [`datasets`] — a registry mirroring Table II (names, sample counts,
 //!   resolutions) with seeded generation.
-//! * [`noise`] — AWGN, Bayer mosaicking and JPEG-like block artifacts for
-//!   the denoising/demosaicking model inputs.
 //! * [`barbara`] — a procedural stand-in for the classic "Barbara" test
 //!   image used in Fig. 2 (smooth regions + fine oriented stripes).
 //! * [`video`] — panning frame sequences for the temporal-delta
@@ -24,7 +22,9 @@
 //! * [`metrics`] — MSE/PSNR for sanity-checking the imaging pipelines.
 //!
 //! Images are `Tensor3<f32>` in `[0, 1]`; [`to_fixed`] quantizes them into
-//! the accelerator's 16-bit fixed-point domain.
+//! the accelerator's 16-bit fixed-point domain. The CI-DNN inputs are
+//! degraded (noise, Bayer mosaic, packing) in `diffy-models`, which does
+//! not depend on this crate.
 
 
 #![warn(missing_docs)]
@@ -32,7 +32,6 @@
 pub mod barbara;
 pub mod datasets;
 pub mod metrics;
-pub mod noise;
 pub mod scenes;
 pub mod synth;
 pub mod video;

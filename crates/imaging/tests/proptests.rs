@@ -1,7 +1,6 @@
 //! Property tests for the imaging substrate.
 
 use diffy_imaging::datasets::DatasetId;
-use diffy_imaging::noise::{bayer_mosaic, degrade_resolution, pack_bayer};
 use diffy_imaging::scenes::{render_scene, roughness, SceneKind};
 use diffy_imaging::to_fixed;
 use diffy_tensor::{Quantizer, Tensor3};
@@ -49,34 +48,5 @@ proptest! {
             prop_assert!(*f >= 0 && *f <= 256);
             prop_assert!((q.dequantize(*f) - v).abs() <= 0.5 / q.scale() + 1e-6);
         }
-    }
-
-    #[test]
-    fn bayer_pack_preserves_all_samples(
-        h2 in 1usize..8,
-        w2 in 1usize..8,
-        seed in 0u64..100,
-    ) {
-        let img = render_scene(SceneKind::Nature, h2 * 2, w2 * 2, seed);
-        let mosaic = bayer_mosaic(&img);
-        let packed = pack_bayer(&mosaic);
-        prop_assert_eq!(packed.len(), mosaic.len());
-        let mut a: Vec<u32> = mosaic.iter().map(|v| v.to_bits()).collect();
-        let mut b: Vec<u32> = packed.iter().map(|v| v.to_bits()).collect();
-        a.sort_unstable();
-        b.sort_unstable();
-        prop_assert_eq!(a, b);
-    }
-
-    #[test]
-    fn degrade_resolution_preserves_mean(
-        h2 in 1usize..6,
-        w2 in 1usize..6,
-        seed in 0u64..100,
-    ) {
-        let img = render_scene(SceneKind::City, h2 * 2, w2 * 2, seed);
-        let d = degrade_resolution(&img, 2);
-        let mean = |t: &Tensor3<f32>| t.iter().map(|&v| v as f64).sum::<f64>() / t.len() as f64;
-        prop_assert!((mean(&img) - mean(&d)).abs() < 1e-4);
     }
 }

@@ -102,6 +102,9 @@ const BLOCK_K: usize = 4;
 /// The i64 outputs of one block: `BLOCK_K` filters × `STRIP` columns.
 type Block = [[i64; STRIP]; BLOCK_K];
 
+/// Consecutive pairs `start..end` of the layer's pair order.
+type Run = [u16; 2];
+
 /// Two filter taps fused into one multiply-add step: where each tap's
 /// activation strip starts, relative to the block's base in the padded
 /// imap, and the block's weights for both taps, one `i32` per filter
@@ -113,15 +116,18 @@ struct TapPair {
     w: [i32; BLOCK_K],
 }
 
-/// A layer's weights re-laid out for the strip kernels: per block of
-/// `BLOCK_K` filters, the nonzero taps as pairs, cut into segments whose
-/// i32 partial sums cannot overflow.
+/// A layer's weights re-laid out for the strip kernels: the taps that
+/// are nonzero in some filter, taken in pairs in one order for the whole
+/// layer and cut into segments whose i32 partial sums cannot overflow,
+/// and each block of `BLOCK_K` filters' weights for those pairs.
 struct ConvPlan {
+    /// Pairs in the layer's order.
+    npairs: usize,
+    /// Block `kb`'s pairs are `pairs[kb * npairs..][..npairs]`; every
+    /// block holds the same offsets in the same order.
     pairs: Vec<TapPair>,
-    /// Pair range of each segment, blocks in filter order.
+    /// Pair range of each segment.
     segments: Vec<std::ops::Range<usize>>,
-    /// Segment range of each block.
-    blocks: Vec<std::ops::Range<usize>>,
 }
 
 impl ConvPlan {
@@ -129,73 +135,91 @@ impl ConvPlan {
     /// magnitude is `amax`. `tap_off(c, j, i)` locates tap `(j, i)` of
     /// channel `c` in the padded imap.
     ///
-    /// A segment grows while `Σ max_f |w_f| · amax` over its taps stays
-    /// at most `i32::MAX`; that sum bounds every partial sum of every
-    /// output in the block, so each segment's i32 total is exact. One
-    /// tap alone is at most `2^15 · 2^15 = 2^30`, so every segment holds
-    /// at least one tap; an odd tap out gets a zero-weight partner.
+    /// A segment grows while `Σ max_n |w_n| · amax` over its taps, the
+    /// maximum taken over all the layer's filters, stays at most
+    /// `i32::MAX`; that sum bounds every partial sum of every output, so
+    /// each segment's i32 total is exact. One tap alone is at most
+    /// `2^15 · 2^15 = 2^30`, so every segment holds at least one tap; an
+    /// odd tap out gets a zero-weight partner.
     fn new(
         fmaps: &Tensor4<i16>,
         amax: u64,
         tap_off: impl Fn(usize, usize, usize) -> usize,
     ) -> Self {
         let fs = fmaps.shape();
-        let mut plan = ConvPlan { pairs: Vec::new(), segments: Vec::new(), blocks: Vec::new() };
-        for k0 in (0..fs.k).step_by(BLOCK_K) {
-            let first_segment = plan.segments.len();
-            let mut seg_start = plan.pairs.len();
-            let mut budget = 0u64;
-            let mut pending: Option<(usize, [i16; BLOCK_K])> = None;
-            for c in 0..fs.c {
-                for j in 0..fs.h {
-                    for i in 0..fs.w {
-                        let mut w = [0i16; BLOCK_K];
-                        for (f, wf) in w.iter_mut().enumerate().take(fs.k - k0) {
-                            *wf = *fmaps.at(k0 + f, c, j, i);
-                        }
-                        let wmax = w.iter().map(|v| v.unsigned_abs()).max().unwrap_or(0);
-                        if wmax == 0 {
-                            continue;
-                        }
-                        let cost = wmax as u64 * amax;
-                        if budget + cost > i32::MAX as u64 {
-                            plan.close_segment(&mut pending, &mut seg_start);
-                            budget = 0;
-                        }
-                        budget += cost;
-                        let off = tap_off(c, j, i);
-                        match pending.take() {
-                            None => pending = Some((off, w)),
-                            Some(first) => plan.pairs.push(TapPair::new(first, (off, w))),
-                        }
-                    }
-                }
+        // The pair order as tap indices into a filter; a `None` partner
+        // has weight zero and reads the first tap's strip.
+        let mut order: Vec<(usize, Option<usize>)> = Vec::new();
+        let mut segments = Vec::new();
+        let mut pending = None;
+        let mut budget = 0u64;
+        let mut tap_max = vec![0u16; fs.c * fs.h * fs.w];
+        for n in 0..fs.k {
+            for (m, w) in tap_max.iter_mut().zip(fmaps.filter(n)) {
+                *m = (*m).max(w.unsigned_abs());
             }
-            plan.close_segment(&mut pending, &mut seg_start);
-            plan.blocks.push(first_segment..plan.segments.len());
         }
-        plan
+        for (t, &wmax) in tap_max.iter().enumerate() {
+            if wmax == 0 {
+                continue;
+            }
+            let cost = wmax as u64 * amax;
+            if budget + cost > i32::MAX as u64 {
+                close_segment(&mut order, &mut pending, &mut segments);
+                budget = 0;
+            }
+            budget += cost;
+            match pending.take() {
+                None => pending = Some(t),
+                Some(first) => order.push((first, Some(t))),
+            }
+        }
+        close_segment(&mut order, &mut pending, &mut segments);
+
+        let off = |t: usize| tap_off(t / (fs.h * fs.w), t / fs.w % fs.h, t % fs.w);
+        let offs: Vec<[usize; 2]> = order
+            .iter()
+            .map(|&(a, b)| [off(a), b.map_or(off(a), off)])
+            .collect();
+        let mut pairs = Vec::with_capacity(fs.k.div_ceil(BLOCK_K) * order.len());
+        for k0 in (0..fs.k).step_by(BLOCK_K) {
+            let w = |t: Option<usize>| -> [i16; BLOCK_K] {
+                std::array::from_fn(|f| match t {
+                    Some(t) if k0 + f < fs.k => fmaps.filter(k0 + f)[t],
+                    _ => 0,
+                })
+            };
+            for (&(a, b), &[oa, ob]) in order.iter().zip(&offs) {
+                pairs.push(TapPair::new((oa, w(Some(a))), (ob, w(b))));
+            }
+        }
+        ConvPlan { npairs: order.len(), pairs, segments }
     }
 
-    /// Ends the open segment, pairing an odd tap out with a zero-weight
-    /// partner that reads the same strip.
-    fn close_segment(
-        &mut self,
-        pending: &mut Option<(usize, [i16; BLOCK_K])>,
-        seg_start: &mut usize,
-    ) {
-        if let Some(first) = pending.take() {
-            self.pairs.push(TapPair::new(first, (first.0, [0; BLOCK_K])));
-        }
-        if self.pairs.len() > *seg_start {
-            self.segments.push(*seg_start..self.pairs.len());
-            *seg_start = self.pairs.len();
-        }
+    /// Block `kb`'s pairs in the layer's order.
+    fn block(&self, kb: usize) -> &[TapPair] {
+        &self.pairs[kb * self.npairs..][..self.npairs]
     }
 
     /// Largest strip offset of any pair.
     fn max_off(&self) -> usize {
         self.pairs.iter().flat_map(|p| p.off).max().unwrap_or(0)
+    }
+}
+
+/// Ends the open segment of `order`, pairing an odd tap out with a
+/// zero-weight partner.
+fn close_segment(
+    order: &mut Vec<(usize, Option<usize>)>,
+    pending: &mut Option<usize>,
+    segments: &mut Vec<std::ops::Range<usize>>,
+) {
+    if let Some(first) = pending.take() {
+        order.push((first, None));
+    }
+    let start = segments.last().map_or(0, |s| s.end);
+    if order.len() > start {
+        segments.push(start..order.len());
     }
 }
 
@@ -209,33 +233,148 @@ impl TapPair {
     }
 }
 
-/// Adds the i32 sum of one segment's tap pairs over the block at `base`
-/// into `out`, on `isa`'s strip; every strip computes the same exact
-/// segment sums. The caller guarantees every strip read,
+/// A layer laid out for the strip kernels: the padded imap, the plan,
+/// and the runs of pairs each (output row, strip, segment) computes.
+struct StripLayout {
+    /// The imap, zero-padded, each padded row split into `stride`
+    /// column phases of `wq` positions: padded column `x` lives in phase
+    /// `x % S` at position `x / S`.
+    act: Vec<i16>,
+    plan: ConvPlan,
+    /// The maximal runs of consecutive pairs of which some tap reads a
+    /// window holding a nonzero value. Every other pair's products are
+    /// all zero.
+    runs: Vec<Run>,
+    /// List `(oy · strips + sx) · segments + g` is
+    /// `runs[heads[list]..heads[list + 1]]`.
+    heads: Vec<usize>,
+    /// Elements per padded row, all its phases.
+    row_len: usize,
+    strips: usize,
+}
+
+impl StripLayout {
+    /// Lays out a layer whose output is not empty.
+    fn new(imap: &Tensor3<i16>, fmaps: &Tensor4<i16>, geom: ConvGeometry) -> Self {
+        let (ishape, fw) = (imap.shape(), fmaps.shape().w);
+        let oshape = geom.out_shape(ishape, fmaps.shape());
+        let (s, d, pad) = (geom.stride, geom.dilation, geom.pad);
+        let strips = oshape.w.div_ceil(STRIP);
+        // Padded rows, and positions per phase: enough that the last
+        // strip of the widest tap offset stays inside its phase row. A
+        // strip's window in one phase row is the `STRIP + reach`
+        // positions its taps read.
+        let hp = ishape.h + 2 * pad;
+        let reach = fw.saturating_sub(1) * d / s;
+        let wq = strips * STRIP + reach;
+        let row_len = s * wq;
+
+        // `live[r * strips + sx]`: strip `sx`'s window in phase row `r`
+        // holds a nonzero value. Padding rows stay zero and dead.
+        let mut act = vec![0i16; ishape.c * hp * row_len];
+        let mut live = vec![false; ishape.c * hp * s * strips];
+        let mut amax = 0u64;
+        for c in 0..ishape.c {
+            for y in 0..ishape.h {
+                let src = imap.row(c, y);
+                amax = amax.max(src.iter().fold(0, |m, v| m.max(v.unsigned_abs())) as u64);
+                let r = c * hp + y + pad;
+                let row = &mut act[r * row_len..][..row_len];
+                let row_live = &mut live[r * s * strips..][..s * strips];
+                let phases = row.chunks_exact_mut(wq).zip(row_live.chunks_exact_mut(strips));
+                for (p, (phase, phase_live)) in phases.enumerate() {
+                    let q0 = pad.saturating_sub(p).div_ceil(s);
+                    let x0 = p + q0 * s - pad;
+                    if let (Some(dst), Some(src)) = (phase.get_mut(q0..), src.get(x0..)) {
+                        for (o, &v) in dst.iter_mut().zip(src.iter().step_by(s)) {
+                            *o = v;
+                        }
+                    }
+                    for (sx, l) in phase_live.iter_mut().enumerate() {
+                        *l = phase[sx * STRIP..][..STRIP + reach].iter().any(|&v| v != 0);
+                    }
+                }
+            }
+        }
+        let plan = ConvPlan::new(fmaps, amax, |c, j, i| {
+            ((c * hp + j * d) * s + i * d % s) * wq + i * d / s
+        });
+        let last_base = (oshape.h - 1) * s * row_len + (strips - 1) * STRIP;
+        assert!(
+            plan.pairs.is_empty() || last_base + plan.max_off() + STRIP <= act.len(),
+            "strip read out of bounds"
+        );
+        assert!(
+            u16::try_from(plan.npairs).is_ok(),
+            "{} tap pairs overflow the run index",
+            plan.npairs
+        );
+
+        // The window-map row of each pair's taps at output row 0; output
+        // row `oy` reads `oy · S` padded rows, `oy · S²` phase rows, lower.
+        let rows: Vec<[usize; 2]> = plan.pairs[..plan.npairs]
+            .iter()
+            .map(|p| p.off.map(|o| o / wq * strips))
+            .collect();
+        let mut runs = Vec::new();
+        let mut heads = vec![0];
+        for oy in 0..oshape.h {
+            let live = &live[oy * s * s * strips..];
+            for sx in 0..strips {
+                let live = &live[sx..];
+                let on = |p: usize| live[rows[p][0]] | live[rows[p][1]];
+                for seg in &plan.segments {
+                    let mut p = seg.start;
+                    loop {
+                        while p < seg.end && !on(p) {
+                            p += 1;
+                        }
+                        if p == seg.end {
+                            break;
+                        }
+                        let start = p;
+                        while p < seg.end && on(p) {
+                            p += 1;
+                        }
+                        runs.push([start as u16, p as u16]);
+                    }
+                    heads.push(runs.len());
+                }
+            }
+        }
+        StripLayout { act, plan, runs, heads, row_len, strips }
+    }
+}
+
+/// Adds the i32 sum of one segment's `runs` of tap pairs over the block
+/// at `base` into `out`, on `isa`'s strip; every strip computes the same
+/// exact segment sums. The caller guarantees every strip read,
 /// `base + pair.off[_] .. + STRIP`, lies inside `act`.
 #[inline]
-fn strip(isa: Isa, act: &[i16], base: usize, pairs: &[TapPair], out: &mut Block) {
+fn strip(isa: Isa, act: &[i16], base: usize, pairs: &[TapPair], runs: &[Run], out: &mut Block) {
     match isa {
-        Isa::Portable => strip_portable(act, base, pairs, out),
+        Isa::Portable => strip_portable(act, base, pairs, runs, out),
         // SAFETY: `Avx2` exists only after runtime detection, and the
         // caller keeps every strip read in bounds.
         #[cfg(target_arch = "x86_64")]
-        Isa::Avx2 => unsafe { strip_avx2(act, base, pairs, out) },
+        Isa::Avx2 => unsafe { strip_avx2(act, base, pairs, runs, out) },
     }
 }
 
 /// Portable strip: the AVX2 algorithm in plain Rust. Products of two i16
 /// fit an i32; the pair sums and the running sums wrap, and the segment
 /// bound makes the wrapped total exact.
-fn strip_portable(act: &[i16], base: usize, pairs: &[TapPair], out: &mut Block) {
+fn strip_portable(act: &[i16], base: usize, pairs: &[TapPair], runs: &[Run], out: &mut Block) {
     let mut acc = [[0i32; STRIP]; BLOCK_K];
-    for tp in pairs {
-        let a = &act[base + tp.off[0]..][..STRIP];
-        let b = &act[base + tp.off[1]..][..STRIP];
-        for (accf, &w) in acc.iter_mut().zip(&tp.w) {
-            let (wa, wb) = (w as i16 as i32, w >> 16);
-            for ((s, &va), &vb) in accf.iter_mut().zip(a).zip(b) {
-                *s = s.wrapping_add((va as i32 * wa).wrapping_add(vb as i32 * wb));
+    for &[start, end] in runs {
+        for tp in &pairs[start as usize..end as usize] {
+            let a = &act[base + tp.off[0]..][..STRIP];
+            let b = &act[base + tp.off[1]..][..STRIP];
+            for (accf, &w) in acc.iter_mut().zip(&tp.w) {
+                let (wa, wb) = (w as i16 as i32, w >> 16);
+                for ((s, &va), &vb) in accf.iter_mut().zip(a).zip(b) {
+                    *s = s.wrapping_add((va as i32 * wa).wrapping_add(vb as i32 * wb));
+                }
             }
         }
     }
@@ -258,21 +397,23 @@ fn strip_portable(act: &[i16], base: usize, pairs: &[TapPair], out: &mut Block) 
 /// must be in bounds for every offset of every pair.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn strip_avx2(act: &[i16], base: usize, pairs: &[TapPair], out: &mut Block) {
+unsafe fn strip_avx2(act: &[i16], base: usize, pairs: &[TapPair], runs: &[Run], out: &mut Block) {
     use std::arch::x86_64::*;
     let p = act.as_ptr().add(base);
     // acc[2f] holds filter f's columns 0-3 | 8-11 (the unpacklo lanes),
     // acc[2f + 1] its columns 4-7 | 12-15.
     let mut acc = [_mm256_setzero_si256(); 2 * BLOCK_K];
-    for tp in pairs {
-        let a = _mm256_loadu_si256(p.add(tp.off[0]) as *const __m256i);
-        let b = _mm256_loadu_si256(p.add(tp.off[1]) as *const __m256i);
-        let lo = _mm256_unpacklo_epi16(a, b);
-        let hi = _mm256_unpackhi_epi16(a, b);
-        for f in 0..BLOCK_K {
-            let w = _mm256_set1_epi32(tp.w[f]);
-            acc[2 * f] = _mm256_add_epi32(acc[2 * f], _mm256_madd_epi16(lo, w));
-            acc[2 * f + 1] = _mm256_add_epi32(acc[2 * f + 1], _mm256_madd_epi16(hi, w));
+    for &[start, end] in runs {
+        for tp in &pairs[start as usize..end as usize] {
+            let a = _mm256_loadu_si256(p.add(tp.off[0]) as *const __m256i);
+            let b = _mm256_loadu_si256(p.add(tp.off[1]) as *const __m256i);
+            let lo = _mm256_unpacklo_epi16(a, b);
+            let hi = _mm256_unpackhi_epi16(a, b);
+            for f in 0..BLOCK_K {
+                let w = _mm256_set1_epi32(tp.w[f]);
+                acc[2 * f] = _mm256_add_epi32(acc[2 * f], _mm256_madd_epi16(lo, w));
+                acc[2 * f + 1] = _mm256_add_epi32(acc[2 * f + 1], _mm256_madd_epi16(hi, w));
+            }
         }
     }
     for (f, of) in out.iter_mut().enumerate() {
@@ -299,10 +440,11 @@ unsafe fn strip_avx2(act: &[i16], base: usize, pairs: &[TapPair], out: &mut Bloc
 /// 16-column strip at any stride. For each block of 4 filters × 16 output
 /// columns, every tap streams past i32 accumulators held in registers,
 /// on the strip of [`Isa::detect`] (AVX2 when the CPU has it, else a
-/// portable strip of the same algorithm). The taps are cut into segments whose i32 sums provably
-/// cannot overflow for this imap's largest magnitude, and each segment's
-/// sum is added into the i64 output, so the result is exact for every
-/// input.
+/// portable strip of the same algorithm). The taps are cut into segments
+/// whose i32 sums provably cannot overflow for this imap's largest
+/// magnitude, and each segment's sum is added into the i64 output, so the
+/// result is exact for every input. Taps whose strips read only zeros are
+/// skipped: their products are zero.
 ///
 /// # Panics
 ///
@@ -338,46 +480,13 @@ pub fn conv2d_fast_on(
         return omap;
     }
 
-    let (s, d, pad) = (geom.stride, geom.dilation, geom.pad);
-    let strips = oshape.w.div_ceil(STRIP);
-    // Padded rows, and columns per stride phase: enough that the last
-    // strip of the widest tap offset stays inside its phase row.
-    let hp = ishape.h + 2 * pad;
-    let wq = strips * STRIP + fshape.w.saturating_sub(1) * d / s;
-    let row_len = s * wq;
-
-    // Padded column x of row y lives in phase x % s at position x / s.
-    let mut act = vec![0i16; ishape.c * hp * row_len];
-    let mut amax = 0u64;
-    for c in 0..ishape.c {
-        for y in 0..ishape.h {
-            let src = imap.row(c, y);
-            amax = src.iter().fold(amax, |m, v| m.max(v.unsigned_abs() as u64));
-            let row = &mut act[(c * hp + y + pad) * row_len..][..row_len];
-            for (p, phase) in row.chunks_exact_mut(wq).enumerate() {
-                let q0 = pad.saturating_sub(p).div_ceil(s);
-                let x0 = p + q0 * s - pad;
-                if let (Some(dst), Some(src)) = (phase.get_mut(q0..), src.get(x0..)) {
-                    for (o, &v) in dst.iter_mut().zip(src.iter().step_by(s)) {
-                        *o = v;
-                    }
-                }
-            }
-        }
-    }
-    let plan = ConvPlan::new(fmaps, amax, |c, j, i| {
-        ((c * hp + j * d) * s + i * d % s) * wq + i * d / s
-    });
-    let last_base = (oshape.h - 1) * s * row_len + (strips - 1) * STRIP;
-    assert!(
-        plan.pairs.is_empty() || last_base + plan.max_off() + STRIP <= act.len(),
-        "strip read out of bounds"
-    );
-
+    let layout = StripLayout::new(imap, fmaps, geom);
+    let (plan, strips) = (&layout.plan, layout.strips);
+    let segments = plan.segments.len();
     let out = omap.as_mut_slice();
     let mut block: Block = [[0; STRIP]; BLOCK_K];
-    for (kb, segments) in plan.blocks.iter().enumerate() {
-        let k0 = kb * BLOCK_K;
+    for k0 in (0..fshape.k).step_by(BLOCK_K) {
+        let pairs = plan.block(k0 / BLOCK_K);
         let kn = BLOCK_K.min(fshape.k - k0);
         let block_bias: [i64; BLOCK_K] =
             std::array::from_fn(|f| bias.and_then(|b| b.get(k0 + f).copied()).unwrap_or(0));
@@ -386,9 +495,13 @@ pub fn conv2d_fast_on(
                 for (of, &b) in block.iter_mut().zip(&block_bias) {
                     *of = [b; STRIP];
                 }
-                let base = oy * s * row_len + sx * STRIP;
-                for seg in &plan.segments[segments.clone()] {
-                    strip(isa, &act, base, &plan.pairs[seg.clone()], &mut block);
+                let base = oy * geom.stride * layout.row_len + sx * STRIP;
+                let list = (oy * strips + sx) * segments;
+                for heads in layout.heads[list..=list + segments].windows(2) {
+                    let runs = &layout.runs[heads[0]..heads[1]];
+                    if !runs.is_empty() {
+                        strip(isa, &layout.act, base, pairs, runs, &mut block);
+                    }
                 }
                 let x0 = sx * STRIP;
                 let xn = STRIP.min(oshape.w - x0);
@@ -607,28 +720,116 @@ mod tests {
         }
     }
 
+    /// The imaps of a `3 × 7 × width` layer the fast conv is checked on:
+    /// dense values; all zeros; the dense values with channel 1 and every
+    /// odd row zeroed; and one nonzero value at each column of row 3 of
+    /// channel 1 in turn, so it lands on both edges of every window.
+    fn test_imaps(width: usize, act_range: i32) -> Vec<Tensor3<i16>> {
+        let dense = spread(3 * 7 * width, act_range, 1);
+        let gappy = dense
+            .iter()
+            .enumerate()
+            .map(|(e, &v)| if e / (7 * width) == 1 || e / width % 2 == 1 { 0 } else { v })
+            .collect();
+        let one = (-act_range).max(i16::MIN as i32) as i16;
+        let mut imaps = vec![dense, vec![0; 3 * 7 * width], gappy];
+        imaps.extend((0..width).map(|x| {
+            let mut v = vec![0; 3 * 7 * width];
+            v[(7 + 3) * width + x] = one;
+            v
+        }));
+        imaps.into_iter().map(|v| Tensor3::from_vec(3, 7, width, v)).collect()
+    }
+
     #[test]
     fn fast_conv_matches_reference_across_geometries() {
         // Widths around the 16-column strip, partial filter blocks, every
-        // stride phase split up to 3 and dilations up to 4; small values
-        // fit one i32 segment, full-range values force cuts.
+        // stride phase split up to 3 and dilations up to 4, on dense and
+        // sparse imaps; small values fit one i32 segment, full-range
+        // values force cuts.
         for (act_range, w_range) in [(255, 100), (32768, 32768)] {
             for width in [1, 15, 16, 17, 33] {
-                let imap = Tensor3::from_vec(3, 7, width, spread(3 * 7 * width, act_range, 1));
-                for k in [1, 3, 5] {
-                    for (fh, fw) in [(3, 3), (1, 5)] {
-                        let fmaps =
-                            Tensor4::from_vec(k, 3, fh, fw, spread(k * 3 * fh * fw, w_range, 2));
-                        let bias: Vec<i64> = (0..k as i64).map(|n| 37 * n - 50).collect();
-                        for stride in 1..=3usize {
-                            for pad in 0..=2usize {
-                                for dilation in 1..=4usize {
-                                    let geom = ConvGeometry { stride, pad, dilation };
-                                    assert_fast_matches(&imap, &fmaps, Some(&bias), geom);
+                for imap in test_imaps(width, act_range) {
+                    for k in [1, 3, 5] {
+                        for (fh, fw) in [(3, 3), (1, 5)] {
+                            let w = spread(k * 3 * fh * fw, w_range, 2);
+                            let fmaps = Tensor4::from_vec(k, 3, fh, fw, w);
+                            let bias: Vec<i64> = (0..k as i64).map(|n| 37 * n - 50).collect();
+                            for stride in 1..=3usize {
+                                for pad in 0..=2usize {
+                                    for dilation in 1..=4usize {
+                                        let geom = ConvGeometry { stride, pad, dilation };
+                                        assert_fast_matches(&imap, &fmaps, Some(&bias), geom);
+                                    }
                                 }
                             }
                         }
                     }
+                }
+            }
+        }
+    }
+
+    /// Whether tap `t = (c, j, i)` reads a nonzero value of `imap` in the
+    /// window of output row `oy`, strip `sx`: the `STRIP + ⌊(Fw−1)·D/S⌋`
+    /// positions from `sx · STRIP` of the stride phase `(i·D) mod S` of
+    /// padded row `oy·S + j·D`.
+    fn window_nonzero(
+        imap: &Tensor3<i16>,
+        fshape: crate::shape::Shape4,
+        geom: ConvGeometry,
+        t: usize,
+        oy: usize,
+        sx: usize,
+    ) -> bool {
+        let (s, d, pad) = (geom.stride as isize, geom.dilation as isize, geom.pad as isize);
+        let (c, j, i) = (t / (fshape.h * fshape.w), t / fshape.w % fshape.h, t % fshape.w);
+        let y = oy as isize * s + j as isize * d - pad;
+        let reach = (fshape.w as isize - 1) * d / s;
+        let q0 = (sx * STRIP) as isize;
+        (q0..q0 + STRIP as isize + reach)
+            .any(|q| imap.at_padded(c, y, q * s + i as isize * d % s - pad, 0) != 0)
+    }
+
+    #[test]
+    fn pairs_run_only_where_a_window_holds_a_nonzero() {
+        // A window map read as nonzero everywhere would still give right
+        // outputs, so pin the pairs the run builder lets through. Every
+        // weight is nonzero and small, so the 27 taps pair up in (c, j, i)
+        // order in one segment, the last with a zero-weight partner.
+        let weights = spread(5 * 27, 100, 2).iter().map(|&w| w | 1).collect();
+        let fmaps = Tensor4::from_vec(5, 3, 3, 3, weights);
+        let bias: Vec<i64> = (0..5).map(|n| 37 * n - 50).collect();
+        let zero = Tensor3::<i16>::new(3, 7, 40);
+        let mut one_channel = zero.clone();
+        let channel_1 = &mut one_channel.as_mut_slice()[7 * 40..14 * 40];
+        channel_1.copy_from_slice(&spread(7 * 40, 255, 1));
+        let fs = fmaps.shape();
+        for stride in 1..=2usize {
+            for pad in 0..=1usize {
+                for dilation in 1..=2usize {
+                    let geom = ConvGeometry { stride, pad, dilation };
+                    let oh = geom.out_shape(zero.shape(), fs).h;
+                    let layout = StripLayout::new(&zero, &fmaps, geom);
+                    assert_eq!(layout.plan.segments, vec![0..14], "{geom:?}");
+                    assert!(layout.runs.is_empty(), "all-zero imap ran pairs, {geom:?}");
+                    let o = conv2d_fast(&zero, &fmaps, Some(&bias), geom);
+                    for (n, &b) in bias.iter().enumerate() {
+                        assert!(o.channel(n).iter().all(|&v| v == b), "{geom:?}");
+                    }
+
+                    let layout = StripLayout::new(&one_channel, &fmaps, geom);
+                    let ran: usize = layout.runs.iter().map(|r| (r[1] - r[0]) as usize).sum();
+                    let want: usize = (0..oh * layout.strips)
+                        .map(|list| {
+                            let (oy, sx) = (list / layout.strips, list % layout.strips);
+                            let imap = &one_channel;
+                            let live = |t| t < 27 && window_nonzero(imap, fs, geom, t, oy, sx);
+                            (0..27).step_by(2).filter(|&t| live(t) || live(t + 1)).count()
+                        })
+                        .sum();
+                    assert!(want > 0, "{geom:?}");
+                    assert_eq!(ran, want, "{geom:?}");
                 }
             }
         }
@@ -641,8 +842,8 @@ mod tests {
         let imap = Tensor3::filled(96, 5, 19, i16::MIN);
         let fmaps = Tensor4::filled(5, 96, 3, 3, i16::MIN);
         let plan = ConvPlan::new(&fmaps, 1 << 15, |_, _, _| 0);
-        assert_eq!(plan.blocks.len(), 2);
-        assert_eq!(plan.segments.len(), 2 * 96 * 9, "one tap per segment");
+        assert_eq!(plan.pairs.len(), 2 * plan.npairs, "two blocks");
+        assert_eq!(plan.segments.len(), 96 * 9, "one tap per segment");
         for geom in [ConvGeometry::unit(), ConvGeometry::same(3, 3), ConvGeometry::strided(2, 1)] {
             assert_fast_matches(&imap, &fmaps, None, geom);
         }
