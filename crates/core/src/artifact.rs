@@ -223,26 +223,29 @@ fn f64_field(v: &JsonValue, key: &str) -> Result<f64, ArtifactError> {
 /// result structs carry. Unknown names are a payload error — the name
 /// set is closed.
 fn arch_static(name: &str) -> Option<&'static str> {
-    [Architecture::Vaa, Architecture::Pra, Architecture::Diffy, Architecture::Scnn]
-        .iter()
-        .map(|a| a.name())
-        .find(|n| *n == name)
+    Architecture::ALL.iter().map(|a| a.name()).find(|n| *n == name)
 }
 
-fn layer_to_json(l: &LayerResult) -> JsonValue {
+/// Serializes one layer's compute counters: the `compute` object of
+/// [`layer_to_json`], and one layer of a served session frame.
+pub fn layer_cycles_to_json(c: &LayerCycles) -> JsonValue {
+    JsonValue::object(vec![
+        ("cycles", c.cycles.into()),
+        ("useful_slots", c.useful_slots.into()),
+        ("total_slots", c.total_slots.into()),
+        ("compute_events", c.compute_events.into()),
+        ("filter_passes", c.filter_passes.into()),
+        ("macs", c.macs.into()),
+    ])
+}
+
+/// Serializes one layer's result. The artifact payload and the served
+/// `/evaluate` body both carry this object, so stored and served layers
+/// are the same bytes.
+pub fn layer_to_json(l: &LayerResult) -> JsonValue {
     JsonValue::object(vec![
         ("name", l.name.as_str().into()),
-        (
-            "compute",
-            JsonValue::object(vec![
-                ("cycles", l.compute.cycles.into()),
-                ("useful_slots", l.compute.useful_slots.into()),
-                ("total_slots", l.compute.total_slots.into()),
-                ("compute_events", l.compute.compute_events.into()),
-                ("filter_passes", l.compute.filter_passes.into()),
-                ("macs", l.compute.macs.into()),
-            ]),
-        ),
+        ("compute", layer_cycles_to_json(&l.compute)),
         (
             "traffic",
             JsonValue::object(vec![

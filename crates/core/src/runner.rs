@@ -575,7 +575,17 @@ impl SweepCache {
         eval: &EvalOptions,
     ) -> NetworkResult {
         let bundle = self.bundle(model, dataset, sample, opts);
-        let key: TraceKey = (model, dataset, sample, opts.resolution, opts.seed);
+        self.evaluate_bundle(&bundle, (model, dataset, sample, opts.resolution, opts.seed), eval)
+    }
+
+    /// [`SweepCache::evaluate`] on a bundle already drawn from this
+    /// cache under `key`.
+    fn evaluate_bundle(
+        &self,
+        bundle: &TraceBundle,
+        key: TraceKey,
+        eval: &EvalOptions,
+    ) -> NetworkResult {
         let g = eval.cfg.terms_per_group;
         let source = |i: usize, layer: &LayerTrace| self.layer_terms(key, i, layer, g);
         let traffic = || self.traffic(key, &bundle.trace, eval.scheme);
@@ -615,9 +625,10 @@ impl SweepCache {
                     Err(_) => {}
                 }
             }
-            let source_pixels = self.bundle(model, dataset, sample, opts).source_pixels;
-            let result = self.evaluate(model, dataset, sample, opts, eval);
-            let artifact = EvalArtifact { result, source_pixels };
+            let bundle = self.bundle(model, dataset, sample, opts);
+            let trace_key = (model, dataset, sample, opts.resolution, opts.seed);
+            let result = self.evaluate_bundle(&bundle, trace_key, eval);
+            let artifact = EvalArtifact { result, source_pixels: bundle.source_pixels };
             if let Some(disk) = &self.disk {
                 // Best-effort: a full or read-only disk degrades the
                 // tier to memory + compute, never the request.
@@ -1250,5 +1261,18 @@ mod tests {
             cache.bundle(CiModel::Ircnn, DatasetId::Kodak24, 0, &opts).source_pixels
         );
         assert_eq!(cache.stats().disk, crate::artifact::DiskStats::default());
+    }
+
+    #[test]
+    fn a_computed_result_counts_no_cache_hit() {
+        // The compute path draws the trace bundle once: a fresh cache's
+        // first evaluation finds nothing resident, so it counts no hit.
+        let cache = SweepCache::bounded(8, 64);
+        let opts = WorkloadOptions::test_small();
+        let eval = EvalOptions::new(Architecture::Diffy, SchemeChoice::Ideal);
+        cache.evaluate_keyed(CiModel::Ircnn, DatasetId::Kodak24, 0, &opts, &eval);
+        let stats = cache.stats();
+        assert_eq!(stats.hits, 0, "{stats:?}");
+        assert!(stats.misses > 0, "{stats:?}");
     }
 }

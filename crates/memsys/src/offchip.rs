@@ -31,6 +31,19 @@ pub enum MemoryNode {
 }
 
 impl MemoryNode {
+    /// Every modelled node.
+    pub const ALL: [MemoryNode; 9] = [
+        MemoryNode::Lpddr3_1600,
+        MemoryNode::Lpddr3e2133,
+        MemoryNode::Ddr3_1600,
+        MemoryNode::Lpddr4_3200,
+        MemoryNode::Ddr4_3200,
+        MemoryNode::Lpddr4x3733,
+        MemoryNode::Lpddr4x4267,
+        MemoryNode::Hbm2,
+        MemoryNode::Hbm3,
+    ];
+
     /// The sweep of Fig. 15, low-end to high-end.
     pub const FIG15_SWEEP: [MemoryNode; 6] = [
         MemoryNode::Lpddr3_1600,

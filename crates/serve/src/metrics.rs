@@ -30,7 +30,7 @@ pub enum CloseReason {
     Aborted,
 }
 
-/// One stage of the `/evaluate` request pipeline, in pipeline order.
+/// One stage of a traced request, in pipeline order.
 ///
 /// The per-stage histograms in `/metrics` and the serve trace spans use
 /// these names (span taxonomy: DESIGN.md §5c); stage durations are
@@ -41,33 +41,25 @@ pub enum Stage {
     QueueWait,
     /// Read + decode + validate the request.
     Parse,
-    /// Materialize the trace bundle (cache-shared).
-    Trace,
-    /// Price the trace on the requested architecture.
+    /// Resolve the result through the cache tiers (or run the session
+    /// handler).
     Evaluate,
     /// Serialize the result to JSON.
     Serialize,
-    /// Write the response (including the lingering close).
+    /// Write the response.
     Write,
 }
 
 impl Stage {
     /// Every stage, in pipeline order.
-    pub const ALL: [Stage; 6] = [
-        Stage::QueueWait,
-        Stage::Parse,
-        Stage::Trace,
-        Stage::Evaluate,
-        Stage::Serialize,
-        Stage::Write,
-    ];
+    pub const ALL: [Stage; 5] =
+        [Stage::QueueWait, Stage::Parse, Stage::Evaluate, Stage::Serialize, Stage::Write];
 
     /// The stage's name, shared by `/metrics` keys and trace spans.
     pub fn name(self) -> &'static str {
         match self {
             Stage::QueueWait => "queue_wait",
             Stage::Parse => "parse",
-            Stage::Trace => "trace",
             Stage::Evaluate => "evaluate",
             Stage::Serialize => "serialize",
             Stage::Write => "write",
@@ -227,9 +219,11 @@ pub struct Metrics {
     /// Per-status response counts, aligned with [`STATUSES`]; the extra
     /// trailing slot counts statuses outside the table (`other`).
     responses: [AtomicU64; STATUSES.len() + 1],
-    /// End-to-end `/evaluate` latency (accept → response written).
+    /// End-to-end latency of every traced request (accept → response
+    /// written).
     pub latency: LatencyHistogram,
-    /// Per-stage `/evaluate` durations, aligned with [`Stage::ALL`].
+    /// Per-stage durations of every traced request, aligned with
+    /// [`Stage::ALL`].
     stages: [LatencyHistogram; Stage::ALL.len()],
 }
 

@@ -11,6 +11,7 @@
 //! the end-to-end tests assert.
 
 use diffy_core::accelerator::{EvalOptions, NetworkResult, SchemeChoice};
+use diffy_core::artifact::{layer_cycles_to_json, layer_to_json};
 use diffy_core::json::JsonValue;
 use diffy_core::runner::{VideoSpec, WorkloadOptions, HD_PIXELS};
 use diffy_encoding::StorageScheme;
@@ -162,7 +163,7 @@ pub fn parse_dataset(name: &str) -> Result<DatasetId, String> {
 
 /// Parses an architecture name (case-insensitive).
 pub fn parse_arch(name: &str) -> Result<Architecture, String> {
-    [Architecture::Vaa, Architecture::Pra, Architecture::Diffy, Architecture::Scnn]
+    Architecture::ALL
         .into_iter()
         .find(|a| a.name().eq_ignore_ascii_case(name))
         .ok_or_else(|| format!("unknown arch `{name}` (VAA/PRA/Diffy/SCNN)"))
@@ -186,18 +187,10 @@ pub fn parse_scheme(name: &str) -> Result<SchemeChoice, String> {
 
 /// Parses a memory-node name (the CLI's `--memory` vocabulary).
 pub fn parse_memory(name: &str) -> Result<MemoryNode, String> {
-    Ok(match name {
-        "DDR4-3200" => MemoryNode::Ddr4_3200,
-        "DDR3-1600" => MemoryNode::Ddr3_1600,
-        "LPDDR3-1600" => MemoryNode::Lpddr3_1600,
-        "LPDDR3E-2133" => MemoryNode::Lpddr3e2133,
-        "LPDDR4-3200" => MemoryNode::Lpddr4_3200,
-        "LPDDR4X-3733" => MemoryNode::Lpddr4x3733,
-        "LPDDR4X-4267" => MemoryNode::Lpddr4x4267,
-        "HBM2" => MemoryNode::Hbm2,
-        "HBM3" => MemoryNode::Hbm3,
-        other => return Err(format!("unknown memory node `{other}`")),
-    })
+    MemoryNode::ALL
+        .into_iter()
+        .find(|m| m.name() == name)
+        .ok_or_else(|| format!("unknown memory node `{name}`"))
 }
 
 /// Serializes a [`NetworkResult`] with full fidelity: the same per-layer
@@ -208,50 +201,13 @@ pub fn parse_memory(name: &str) -> Result<MemoryNode, String> {
 /// strings, so "served response == direct evaluation" can be asserted
 /// bytewise.
 pub fn result_to_json(result: &NetworkResult, source_pixels: u64) -> JsonValue {
-    let layers: Vec<JsonValue> = result
-        .layers
-        .iter()
-        .map(|l| {
-            JsonValue::object(vec![
-                ("name", JsonValue::from(l.name.as_str())),
-                (
-                    "compute",
-                    JsonValue::object(vec![
-                        ("cycles", l.compute.cycles.into()),
-                        ("useful_slots", l.compute.useful_slots.into()),
-                        ("total_slots", l.compute.total_slots.into()),
-                        ("compute_events", l.compute.compute_events.into()),
-                        ("filter_passes", l.compute.filter_passes.into()),
-                        ("macs", l.compute.macs.into()),
-                    ]),
-                ),
-                (
-                    "traffic",
-                    JsonValue::object(vec![
-                        ("imap_read_bytes", l.traffic.imap_read_bytes.into()),
-                        ("omap_write_bytes", l.traffic.omap_write_bytes.into()),
-                        ("weight_bytes", l.traffic.weight_bytes.into()),
-                    ]),
-                ),
-                (
-                    "timing",
-                    JsonValue::object(vec![
-                        ("compute_cycles", l.timing.compute_cycles.into()),
-                        ("memory_cycles", l.timing.memory_cycles.into()),
-                        ("total_cycles", l.timing.total_cycles.into()),
-                        ("stall_cycles", l.timing.stall_cycles.into()),
-                    ]),
-                ),
-            ])
-        })
-        .collect();
     JsonValue::object(vec![
         ("model", JsonValue::from(result.model.as_str())),
         ("arch", JsonValue::from(result.arch)),
         ("scheme", JsonValue::from(result.scheme.as_str())),
         ("frequency_ghz", JsonValue::from(result.frequency_ghz)),
         ("source_pixels", source_pixels.into()),
-        ("layers", JsonValue::Array(layers)),
+        ("layers", JsonValue::Array(result.layers.iter().map(layer_to_json).collect())),
         (
             "totals",
             JsonValue::object(vec![
@@ -438,23 +394,9 @@ pub fn temporal_mode_name(mode: TemporalMode) -> &'static str {
 /// equal strings, so "session frame == direct `temporal_network`" can be
 /// asserted bytewise.
 pub fn cycles_to_json(cycles: &NetworkCycles) -> JsonValue {
-    let layers: Vec<JsonValue> = cycles
-        .layers
-        .iter()
-        .map(|l| {
-            JsonValue::object(vec![
-                ("cycles", l.cycles.into()),
-                ("useful_slots", l.useful_slots.into()),
-                ("total_slots", l.total_slots.into()),
-                ("compute_events", l.compute_events.into()),
-                ("filter_passes", l.filter_passes.into()),
-                ("macs", l.macs.into()),
-            ])
-        })
-        .collect();
     JsonValue::object(vec![
         ("arch", JsonValue::from(cycles.arch)),
-        ("layers", JsonValue::Array(layers)),
+        ("layers", JsonValue::Array(cycles.layers.iter().map(layer_cycles_to_json).collect())),
         (
             "totals",
             JsonValue::object(vec![

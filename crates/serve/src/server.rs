@@ -48,13 +48,26 @@
 //! server's `--deadline-ms`), measured from its *anchor* — accept for a
 //! connection's first request, arrival of the next request for reused
 //! connections — so queue wait counts against it. Workers check it
-//! cooperatively between pipeline stages and answer `504` the moment it
-//! has passed; a request that expired while queued is never evaluated at
+//! before and after evaluation and answer `504` the moment it has
+//! passed; a request that expired while queued is never evaluated at
 //! all. The socket read budget is the deadline remaining, re-armed
 //! before *every* read: a slow-loris peer is cut off when the request
 //! budget runs out whether it stays silent or trickles bytes just under
 //! each read timeout. Lingering closes carry a wall-clock budget too, so
 //! a trickling peer cannot hold a thread in the drain loop either.
+//!
+//! # Request frame
+//!
+//! Every traced route — `POST /evaluate`, `POST /evaluate/batch`, `POST
+//! /session`, `POST /session/{id}/frame` and `DELETE /session/{id}` —
+//! goes through one frame, `serve`: the `request` trace span tagged
+//! with the route's `kind`, the queue wait, one panic fence around the
+//! whole route, the response write and the latency sample. A request
+//! records at most five stages ([`Stage`]), each as one span and one
+//! `/metrics` histogram sample: `queue_wait`, `parse` (dequeue to the end
+//! of the body decode), `evaluate`, `serialize` and `write`. `/evaluate`
+//! and `/evaluate/batch` record all five; the session routes record all
+//! but `serialize`, since their handlers serialize inside `evaluate`.
 //!
 //! # Accounting
 //!
@@ -81,15 +94,15 @@
 //! `tests/serve_e2e.rs` and `tests/serve_keepalive.rs`).
 
 use crate::http::{
-    path_segments, read_request_with, write_json_response_conn, BadRequest, ReadError, Request,
+    path_segments, read_request_with, write_json_response_conn, BadRequest, ReadError,
     MAX_BODY_BYTES,
 };
 use crate::metrics::{CloseReason, Metrics, Stage};
 use crate::poller::{self, Poller, FIRST_CONN_TOKEN, LISTENER_TOKEN};
 use crate::protocol::{error_body, result_to_json, BatchRequest, EvalRequest};
 use crate::session::{self, SessionStore};
+use diffy_core::artifact::{DiskTier, EvalArtifact};
 use diffy_core::json::{parse as parse_json, JsonValue};
-use diffy_core::artifact::DiskTier;
 use diffy_core::parallel::{run_jobs, Jobs};
 use diffy_core::runner::SweepCache;
 use diffy_core::trace;
@@ -957,12 +970,12 @@ fn close_conn_quiet(shared: &Shared, conn: QueuedConn) {
 /// whose next request is already buffered or arrives within
 /// [`PARK_GRACE`] begins its next *counted* attempt and re-enters the
 /// admission queue — it waits its turn behind every other queued
-/// connection — while a silent one is parked (non-blocking) with the
-/// event loop until its next request's first byte arrives. The next
-/// attempt is counted only once its bytes exist: a connection that
-/// turns out dead here never inflates `keepalive_reuses_total` with a
-/// reuse that carried no request, and a parked retirement stays off the
-/// request ledger entirely. A full (or closed) queue or lot ends the
+/// connection — while a silent one is [`park`]ed with the event loop
+/// until its next request's first byte arrives. The next attempt is
+/// counted only once its bytes exist: a connection that turns out dead
+/// here never inflates `keepalive_reuses_total` with a reuse that
+/// carried no request, and a parked retirement stays off the request
+/// ledger entirely. A full (or closed) queue or lot ends the
 /// conversation instead — bounded state beats unbounded politeness.
 fn requeue_or_park(shared: &Shared, mut conn: QueuedConn) {
     if conn.reader.buffer().is_empty() {
@@ -973,26 +986,10 @@ fn requeue_or_park(shared: &Shared, mut conn: QueuedConn) {
         // `poll(2)`, not a blocking peek under `SO_RCVTIMEO`: socket
         // timeouts round up to kernel timer ticks (~8 ms for a 2 ms
         // grace), which would cap one worker at ~125 parks/s.
-        let quiet = match poller::wait_readable(&conn.writer, PARK_GRACE) {
-            Ok(ready) => !ready,
+        match poller::wait_readable(&conn.writer, PARK_GRACE) {
+            Ok(false) => return park(shared, conn),
+            Ok(true) => {}
             Err(_) => return close_conn_quiet(shared, conn),
-        };
-        if quiet {
-            let idle_deadline =
-                Instant::now() + Duration::from_millis(shared.config.idle_timeout_ms);
-            if conn.writer.set_nonblocking(true).is_err() {
-                return close_conn_quiet(shared, conn);
-            }
-            match shared.parked.try_park(ParkedConn { conn, idle_deadline }) {
-                // The event loop may be mid-wait: wake it to absorb
-                // the inbox and register the socket.
-                Ok(()) => shared.poller.wake(),
-                Err(p) => {
-                    shared.metrics.poller_park_refused_total.fetch_add(1, Ordering::Relaxed);
-                    close_conn_quiet(shared, p.conn);
-                }
-            }
-            return;
         }
         // Readable: bound the peek so a spurious readiness on a
         // blocking socket cannot stall the worker.
@@ -1006,19 +1003,7 @@ fn requeue_or_park(shared: &Shared, mut conn: QueuedConn) {
             Err(e)
                 if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) =>
             {
-                let idle_deadline =
-                    Instant::now() + Duration::from_millis(shared.config.idle_timeout_ms);
-                if conn.writer.set_nonblocking(true).is_err() {
-                    return close_conn_quiet(shared, conn);
-                }
-                match shared.parked.try_park(ParkedConn { conn, idle_deadline }) {
-                    Ok(()) => shared.poller.wake(),
-                    Err(p) => {
-                        shared.metrics.poller_park_refused_total.fetch_add(1, Ordering::Relaxed);
-                        close_conn_quiet(shared, p.conn);
-                    }
-                }
-                return;
+                return park(shared, conn)
             }
             Err(_) => return close_conn_quiet(shared, conn),
         }
@@ -1028,6 +1013,24 @@ fn requeue_or_park(shared: &Shared, mut conn: QueuedConn) {
     begin_next_attempt(shared, &mut conn);
     if let Err(conn) = shared.queue.try_push(conn) {
         close_conn(shared, conn, Some(CloseReason::Idle));
+    }
+}
+
+/// Parks a silent keep-alive connection, non-blocking, in the lot inbox
+/// for the event loop to watch; a full or closed lot retires it quietly.
+fn park(shared: &Shared, conn: QueuedConn) {
+    let idle_deadline = Instant::now() + Duration::from_millis(shared.config.idle_timeout_ms);
+    if conn.writer.set_nonblocking(true).is_err() {
+        return close_conn_quiet(shared, conn);
+    }
+    match shared.parked.try_park(ParkedConn { conn, idle_deadline }) {
+        // The event loop may be mid-wait: wake it to absorb the inbox
+        // and register the socket.
+        Ok(()) => shared.poller.wake(),
+        Err(p) => {
+            shared.metrics.poller_park_refused_total.fetch_add(1, Ordering::Relaxed);
+            close_conn_quiet(shared, p.conn);
+        }
     }
 }
 
@@ -1081,28 +1084,29 @@ fn handle_connection(shared: &Shared, mut conn: QueuedConn) {
     // Session routes carry an id path segment, so they dispatch on
     // canonicalized segments; everything else matches the literal path.
     let segs = path_segments(&request.path);
+    let (body, anchor) = (request.body.as_slice(), conn.anchor);
     let healthy = match (request.method.as_str(), segs.as_slice()) {
         ("POST", ["session"]) => {
-            handle_session(shared, &mut conn, dequeued_at, keep, "session_create", |now| {
-                match std::str::from_utf8(&request.body) {
-                    Ok(text) => session::handle_create(&shared.sessions, text, now),
-                    Err(_) => (400, error_body("body must be UTF-8 JSON")),
-                }
+            serve(shared, &mut conn, dequeued_at, keep, "session_create", || {
+                let text = decode(shared, body, dequeued_at, utf8)?;
+                Ok(stage(shared, Stage::Evaluate, || {
+                    session::handle_create(&shared.sessions, text, Instant::now())
+                }))
             })
         }
         ("POST", ["session", id, "frame"]) => {
-            handle_session(shared, &mut conn, dequeued_at, keep, "session_frame", |now| {
-                match std::str::from_utf8(&request.body) {
-                    Ok(text) => {
-                        session::handle_frame(&shared.sessions, &shared.cache, id, text, now)
-                    }
-                    Err(_) => (400, error_body("body must be UTF-8 JSON")),
-                }
+            serve(shared, &mut conn, dequeued_at, keep, "session_frame", || {
+                let text = decode(shared, body, dequeued_at, utf8)?;
+                Ok(stage(shared, Stage::Evaluate, || {
+                    session::handle_frame(&shared.sessions, &shared.cache, id, text, Instant::now())
+                }))
             })
         }
         ("DELETE", ["session", id]) => {
-            handle_session(shared, &mut conn, dequeued_at, keep, "session_close", |_now| {
-                session::handle_close(&shared.sessions, id)
+            serve(shared, &mut conn, dequeued_at, keep, "session_close", || {
+                // No body to read: the parse stage is the socket read.
+                decode(shared, body, dequeued_at, |_| Ok(()))?;
+                Ok(stage(shared, Stage::Evaluate, || session::handle_close(&shared.sessions, id)))
             })
         }
         (_, ["session"] | ["session", _] | ["session", _, "frame"]) => {
@@ -1110,10 +1114,22 @@ fn handle_connection(shared: &Shared, mut conn: QueuedConn) {
         }
         _ => match (request.method.as_str(), request.path.as_str()) {
             ("POST", "/evaluate") => {
-                handle_evaluate(shared, &mut conn, &request, dequeued_at, keep)
+                serve(shared, &mut conn, dequeued_at, keep, "evaluate", || {
+                    let req = decode(shared, body, dequeued_at, json(EvalRequest::from_json))?;
+                    let artifact = stage(shared, Stage::Evaluate, || {
+                        evaluate_one(shared, &req, anchor, req.deadline_ms)
+                    })
+                    .map_err(|(status, e)| (status, error_body(&e)))?;
+                    let body = stage(shared, Stage::Serialize, || {
+                        result_to_json(&artifact.result, artifact.source_pixels).to_json()
+                    });
+                    Ok((200, body))
+                })
             }
             ("POST", "/evaluate/batch") => {
-                handle_evaluate_batch(shared, &mut conn, &request, dequeued_at, keep)
+                serve(shared, &mut conn, dequeued_at, keep, "batch", || {
+                    evaluate_batch(shared, body, anchor, dequeued_at)
+                })
             }
             ("GET", "/trace") => {
                 let body = trace::Collector::global().snapshot().to_chrome_json().to_json();
@@ -1160,355 +1176,193 @@ fn handle_connection(shared: &Shared, mut conn: QueuedConn) {
     }
 }
 
-/// The `/evaluate` pipeline: parse → trace → evaluate → serialize, with a
-/// cooperative deadline check between every stage.
-///
-/// A "request" trace span anchored at the connection's current anchor
-/// (accept, or next-request arrival on reused connections) covers the
-/// whole pipeline (tagged with the request id); each stage records both a
-/// child span and its `/metrics` stage histogram, and the stages tile the
-/// request end to end — queue wait through response write — so their
-/// durations sum to the latency histogram's sample up to span overhead.
-fn handle_evaluate(
-    shared: &Shared,
-    conn: &mut QueuedConn,
-    request: &Request,
-    dequeued_at: Instant,
-    keep: bool,
-) -> bool {
-    let anchored_at = conn.anchor;
-    let req_id = conn.req_id;
-    let collector = trace::Collector::global();
-    let _req_span =
-        collector.span_from("request", collector.ns_of(anchored_at), || vec![("req", req_id.into())]);
-    let queue_wait = dequeued_at.saturating_duration_since(anchored_at);
-    shared.metrics.stage(Stage::QueueWait).record(queue_wait);
-    collector.record_manual(
-        Stage::QueueWait.name(),
-        collector.ns_of(anchored_at),
-        queue_wait.as_nanos().min(u128::from(u64::MAX)) as u64,
-        Vec::new,
-    );
+/// A response: status and JSON body.
+type Reply = (u16, String);
 
-    let (status, body) = evaluate_stages(shared, request, anchored_at, dequeued_at);
-    if status == 504 {
-        shared.metrics.deadline_expired_total.fetch_add(1, Ordering::Relaxed);
-    }
-
-    let write_start = Instant::now();
-    let healthy = {
-        let _s = collector.span(Stage::Write.name());
-        respond(shared, conn, status, &body, keep)
-    };
-    shared.metrics.stage(Stage::Write).record(write_start.elapsed());
-    shared.metrics.latency.record(anchored_at.elapsed());
-    healthy
-}
-
-fn evaluate_stages(
-    shared: &Shared,
-    request: &Request,
-    anchored_at: Instant,
-    dequeued_at: Instant,
-) -> (u16, String) {
-    let collector = trace::Collector::global();
-    let metrics = &shared.metrics;
-    // Stage 0: decode. (Deadline: a request that waited out its budget in
-    // the queue is answered 504 without being parsed at all.) The parse
-    // stage is measured from dequeue so it covers the socket read too.
-    let parse_result = (|| {
-        let Ok(body_text) = std::str::from_utf8(&request.body) else {
-            return Err((400, error_body("body must be UTF-8 JSON")));
-        };
-        let parsed = match parse_json(body_text) {
-            Ok(v) => v,
-            Err(e) => return Err((400, error_body(&format!("bad JSON: {e}")))),
-        };
-        EvalRequest::from_json(&parsed).map_err(|e| (400, error_body(&e)))
-    })();
-    let parse_elapsed = dequeued_at.elapsed();
-    metrics.stage(Stage::Parse).record(parse_elapsed);
-    collector.record_manual(
-        Stage::Parse.name(),
-        collector.ns_of(dequeued_at),
-        parse_elapsed.as_nanos().min(u128::from(u64::MAX)) as u64,
-        Vec::new,
-    );
-    let eval_req = match parse_result {
-        Ok(r) => r,
-        Err(resp) => return resp,
-    };
-
-    let budget_ms = eval_req.deadline_ms.unwrap_or(shared.config.deadline_ms);
-    let deadline = anchored_at + Duration::from_millis(budget_ms.min(shared.config.deadline_ms));
-    let expired = |stage: &str| {
-        (504, error_body(&format!("deadline exceeded ({stage})")))
-    };
-    if Instant::now() >= deadline {
-        return expired("queued");
-    }
-
-    if shared.config.test_hooks {
-        if let Some(ms) = eval_req.test_sleep_ms {
-            std::thread::sleep(Duration::from_millis(ms));
-        }
-    }
-
-    // Stage 1: under the tiered store, trace materialization is lazy —
-    // it happens inside the evaluation stage, and only on a full tier
-    // miss (a memory- or disk-hit request never builds a trace at all).
-    // The stage keeps its slot in the span taxonomy and histograms so
-    // the pipeline still tiles end to end; it now brackets only the
-    // request's workload/options decode.
-    let stage_start = Instant::now();
-    let (workload, eval) = {
-        let _s = collector.span(Stage::Trace.name());
-        (eval_req.workload(), eval_req.eval_options())
-    };
-    metrics.stage(Stage::Trace).record(stage_start.elapsed());
-
-    // Stage 2: resolve the result through the tiers — memory result
-    // store, then disk artifacts, then compute (which draws traces and
-    // term planes from the same shared stores the sweeps use).
-    let stage_start = Instant::now();
-    let run = {
-        let _s = collector.span(Stage::Evaluate.name());
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            shared.cache.evaluate_keyed(
-                eval_req.model,
-                eval_req.dataset,
-                eval_req.sample,
-                &workload,
-                &eval,
-            )
-        }))
-    };
-    metrics.stage(Stage::Evaluate).record(stage_start.elapsed());
-    let artifact = match run {
-        Ok(a) => a,
-        Err(_) => return (500, error_body("evaluation failed")),
-    };
-    if Instant::now() >= deadline {
-        return expired("evaluated");
-    }
-
-    // Stage 3: serialize — the exact runner result, deterministically.
-    let stage_start = Instant::now();
-    let body = {
-        let _s = collector.span(Stage::Serialize.name());
-        result_to_json(&artifact.result, artifact.source_pixels).to_json()
-    };
-    metrics.stage(Stage::Serialize).record(stage_start.elapsed());
-    (200, body)
-}
-
-/// The `/evaluate/batch` pipeline: one parsed batch fans its items over
-/// the same `run_jobs` pool and shared `SweepCache` the sweeps use, so
-/// weights, traces and per-layer term planes are built once per key
-/// across the whole batch. Items are independent: each reports its own
-/// result or error, in request order, and each result is bit-identical
-/// to the equivalent standalone `POST /evaluate` body.
-fn handle_evaluate_batch(
-    shared: &Shared,
-    conn: &mut QueuedConn,
-    request: &Request,
-    dequeued_at: Instant,
-    keep: bool,
-) -> bool {
-    let anchored_at = conn.anchor;
-    let req_id = conn.req_id;
-    let collector = trace::Collector::global();
-    let metrics = &shared.metrics;
-    let _req_span = collector.span_from("request", collector.ns_of(anchored_at), || {
-        vec![("req", req_id.into()), ("kind", "batch".into())]
-    });
-    let queue_wait = dequeued_at.saturating_duration_since(anchored_at);
-    metrics.stage(Stage::QueueWait).record(queue_wait);
-    collector.record_manual(
-        Stage::QueueWait.name(),
-        collector.ns_of(anchored_at),
-        queue_wait.as_nanos().min(u128::from(u64::MAX)) as u64,
-        Vec::new,
-    );
-
-    let parse_result = (|| {
-        let Ok(body_text) = std::str::from_utf8(&request.body) else {
-            return Err((400, error_body("body must be UTF-8 JSON")));
-        };
-        let parsed = match parse_json(body_text) {
-            Ok(v) => v,
-            Err(e) => return Err((400, error_body(&format!("bad JSON: {e}")))),
-        };
-        BatchRequest::from_json(&parsed).map_err(|e| (400, error_body(&e)))
-    })();
-    let parse_elapsed = dequeued_at.elapsed();
-    metrics.stage(Stage::Parse).record(parse_elapsed);
-    collector.record_manual(
-        Stage::Parse.name(),
-        collector.ns_of(dequeued_at),
-        parse_elapsed.as_nanos().min(u128::from(u64::MAX)) as u64,
-        Vec::new,
-    );
-
-    let (status, body) = match parse_result {
-        Err(resp) => resp,
-        Ok(batch) => {
-            metrics.batch_items_total.fetch_add(batch.items.len() as u64, Ordering::Relaxed);
-            let budget_ms = batch.deadline_ms.unwrap_or(shared.config.deadline_ms);
-            let deadline =
-                anchored_at + Duration::from_millis(budget_ms.min(shared.config.deadline_ms));
-
-            // Fan the items over the pool, bounded *globally*: the batch
-            // always gets this serving worker (fan 1 runs inline) plus
-            // however many extra-thread permits remain server-wide, so
-            // W workers all serving batches at once cannot stack W²
-            // evaluation threads. Results come back in item order
-            // (run_jobs is order-stable at any parallelism).
-            let want =
-                batch.items.len().min(shared.config.workers.get()).saturating_sub(1);
-            let extra = shared.batch_fan.acquire_up_to(want);
-            let _permits = PermitGuard { permits: &shared.batch_fan, n: extra };
-            let fan = Jobs::new(1 + extra);
-            let tasks: Vec<_> = batch
-                .items
-                .iter()
-                .map(|item| move || evaluate_batch_item(shared, item, deadline))
-                .collect();
-            let stage_start = Instant::now();
-            let outcomes = {
-                let _s = collector.span(Stage::Evaluate.name());
-                run_jobs(tasks, fan)
-            };
-            drop(_permits);
-            metrics.stage(Stage::Evaluate).record(stage_start.elapsed());
-
-            let expired = outcomes.iter().filter(|(s, _)| *s == 504).count() as u64;
-            if expired > 0 {
-                metrics.deadline_expired_total.fetch_add(expired, Ordering::Relaxed);
-            }
-            let errors = outcomes.iter().filter(|(s, _)| *s != 200).count();
-
-            let stage_start = Instant::now();
-            let body = {
-                let _s = collector.span(Stage::Serialize.name());
-                JsonValue::object(vec![
-                    ("count", outcomes.len().into()),
-                    ("errors", errors.into()),
-                    (
-                        "items",
-                        JsonValue::Array(outcomes.into_iter().map(|(_, v)| v).collect()),
-                    ),
-                ])
-                .to_json()
-            };
-            metrics.stage(Stage::Serialize).record(stage_start.elapsed());
-            (200, body)
-        }
-    };
-
-    let write_start = Instant::now();
-    let healthy = {
-        let _s = collector.span(Stage::Write.name());
-        respond(shared, conn, status, &body, keep)
-    };
-    metrics.stage(Stage::Write).record(write_start.elapsed());
-    metrics.latency.record(anchored_at.elapsed());
-    healthy
-}
-
-/// Evaluates one batch item: `{"status": 200, "result": {…}}` on
-/// success — the embedded object is byte-identical to the standalone
-/// `POST /evaluate` body — or `{"status": s, "error": "…"}`.
-fn evaluate_batch_item(
-    shared: &Shared,
-    parsed: &Result<EvalRequest, String>,
-    deadline: Instant,
-) -> (u16, JsonValue) {
-    let item_error = |status: u16, msg: &str| {
-        (
-            status,
-            JsonValue::object(vec![
-                ("status", u64::from(status).into()),
-                ("error", JsonValue::from(msg)),
-            ]),
-        )
-    };
-    let req = match parsed {
-        Ok(r) => r,
-        Err(e) => return item_error(400, e),
-    };
-    if Instant::now() >= deadline {
-        return item_error(504, "deadline exceeded (batch)");
-    }
-    if shared.config.test_hooks {
-        if let Some(ms) = req.test_sleep_ms {
-            std::thread::sleep(Duration::from_millis(ms));
-        }
-        if Instant::now() >= deadline {
-            return item_error(504, "deadline exceeded (batch)");
-        }
-    }
-    let workload = req.workload();
-    let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        shared.cache.evaluate_keyed(req.model, req.dataset, req.sample, &workload, &req.eval_options())
-    }));
-    match run {
-        Err(_) => item_error(500, "evaluation failed"),
-        Ok(artifact) => (
-            200,
-            JsonValue::object(vec![
-                ("status", 200u64.into()),
-                ("result", result_to_json(&artifact.result, artifact.source_pixels)),
-            ]),
-        ),
-    }
-}
-
-/// Shared pipeline for the three session routes: the request trace span
-/// (tagged with the route kind), queue-wait accounting, a panic-fenced
-/// evaluation stage, and the response write. Session work rides the
-/// `evaluate` stage histogram — frame pricing runs the same engine the
-/// one-shot path does — so `/metrics` needs no new stage taxonomy.
-fn handle_session(
+/// The one frame of every traced route, `kind` naming it in the trace:
+/// the `request` span from the connection's anchor, the queue-wait
+/// stage, one panic fence around the whole route, the timed response
+/// write and the latency sample. A route answers `Err` when it stops
+/// early (a body that does not decode, an expired deadline, a failed
+/// evaluation) and `Ok` when it ran to the end; either way its stages
+/// run inside the span, so they tile the request from anchor to written
+/// response and sum to the latency sample up to span overhead.
+fn serve(
     shared: &Shared,
     conn: &mut QueuedConn,
     dequeued_at: Instant,
     keep: bool,
     kind: &'static str,
-    run: impl FnOnce(Instant) -> (u16, String),
+    route: impl FnOnce() -> Result<Reply, Reply>,
 ) -> bool {
-    let anchored_at = conn.anchor;
-    let req_id = conn.req_id;
+    let (anchor, req_id) = (conn.anchor, conn.req_id);
     let collector = trace::Collector::global();
-    let _req_span = collector.span_from("request", collector.ns_of(anchored_at), || {
+    let _request = collector.span_from("request", collector.ns_of(anchor), || {
         vec![("req", req_id.into()), ("kind", kind.into())]
     });
-    let queue_wait = dequeued_at.saturating_duration_since(anchored_at);
-    shared.metrics.stage(Stage::QueueWait).record(queue_wait);
-    collector.record_manual(
-        Stage::QueueWait.name(),
-        collector.ns_of(anchored_at),
-        queue_wait.as_nanos().min(u128::from(u64::MAX)) as u64,
-        Vec::new,
-    );
-
-    let stage_start = Instant::now();
-    let outcome = {
-        let _s = collector.span(Stage::Evaluate.name());
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(stage_start)))
-    };
-    shared.metrics.stage(Stage::Evaluate).record(stage_start.elapsed());
-    let (status, body) =
-        outcome.unwrap_or_else(|_| (500, error_body("session evaluation failed")));
-
-    let write_start = Instant::now();
-    let healthy = {
-        let _s = collector.span(Stage::Write.name());
-        respond(shared, conn, status, &body, keep)
-    };
-    shared.metrics.stage(Stage::Write).record(write_start.elapsed());
-    shared.metrics.latency.record(anchored_at.elapsed());
+    record_stage(shared, Stage::QueueWait, anchor, dequeued_at);
+    let (status, body) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(route))
+        .unwrap_or_else(|_| Err((500, error_body("request failed"))))
+        .unwrap_or_else(|early| early);
+    let healthy = stage(shared, Stage::Write, || respond(shared, conn, status, &body, keep));
+    shared.metrics.latency.record(anchor.elapsed());
     healthy
+}
+
+/// Runs `work` as one stage: its span and its histogram sample share one
+/// start.
+fn stage<T>(shared: &Shared, stage: Stage, work: impl FnOnce() -> T) -> T {
+    let start = Instant::now();
+    let collector = trace::Collector::global();
+    let out = {
+        let _span = collector.span_from(stage.name(), collector.ns_of(start), Vec::new);
+        work()
+    };
+    shared.metrics.stage(stage).record(start.elapsed());
+    out
+}
+
+/// Records a stage that began before the route ran (queue wait, parse)
+/// as one span and one histogram sample over `start..end`.
+fn record_stage(shared: &Shared, stage: Stage, start: Instant, end: Instant) {
+    let elapsed = end.saturating_duration_since(start);
+    shared.metrics.stage(stage).record(elapsed);
+    let collector = trace::Collector::global();
+    let dur_ns = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
+    collector.record_manual(stage.name(), collector.ns_of(start), dur_ns, Vec::new);
+}
+
+/// Decodes a request body, answering 400 with the decoder's reason. The
+/// parse stage runs from dequeue, so it covers the socket read, to the
+/// end of the decode.
+fn decode<'b, T>(
+    shared: &Shared,
+    body: &'b [u8],
+    dequeued_at: Instant,
+    decoder: impl FnOnce(&'b [u8]) -> Result<T, String>,
+) -> Result<T, Reply> {
+    let decoded = decoder(body).map_err(|e| (400, error_body(&e)));
+    record_stage(shared, Stage::Parse, dequeued_at, Instant::now());
+    decoded
+}
+
+/// The body as text: the decoder of the session routes, whose handlers
+/// parse their own JSON.
+fn utf8(body: &[u8]) -> Result<&str, String> {
+    std::str::from_utf8(body).map_err(|_| "body must be UTF-8 JSON".to_string())
+}
+
+/// The decoder of a JSON body that `from_json` validates.
+fn json<T>(
+    from_json: fn(&JsonValue) -> Result<T, String>,
+) -> impl FnOnce(&[u8]) -> Result<T, String> {
+    move |body| from_json(&parse_json(utf8(body)?).map_err(|e| format!("bad JSON: {e}"))?)
+}
+
+/// Prices one decoded request within its deadline — `deadline_ms`,
+/// clamped to the server's, from the connection's `anchor`: a request
+/// that waited out its budget is never evaluated, and a result finished
+/// past it is answered 504, counted here once per request or batch item.
+/// The tiered evaluation is panic-fenced on its own, so one failing
+/// batch item does not take its siblings down.
+fn evaluate_one(
+    shared: &Shared,
+    req: &EvalRequest,
+    anchor: Instant,
+    deadline_ms: Option<u64>,
+) -> Result<Arc<EvalArtifact>, (u16, String)> {
+    let max_ms = shared.config.deadline_ms;
+    let deadline = anchor + Duration::from_millis(deadline_ms.unwrap_or(max_ms).min(max_ms));
+    let expired = |when: &str| {
+        shared.metrics.deadline_expired_total.fetch_add(1, Ordering::Relaxed);
+        Err((504, format!("deadline exceeded ({when})")))
+    };
+    if Instant::now() >= deadline {
+        return expired("queued");
+    }
+    if shared.config.test_hooks {
+        if let Some(ms) = req.test_sleep_ms {
+            std::thread::sleep(Duration::from_millis(ms));
+        }
+    }
+    // Memory result store, then disk artifacts, then compute — which
+    // draws traces and term planes from the stores the sweeps use.
+    let (workload, eval) = (req.workload(), req.eval_options());
+    let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        shared.cache.evaluate_keyed(req.model, req.dataset, req.sample, &workload, &eval)
+    }));
+    let Ok(artifact) = run else {
+        return Err((500, "evaluation failed".to_string()));
+    };
+    if Instant::now() >= deadline {
+        return expired("evaluated");
+    }
+    Ok(artifact)
+}
+
+/// The `/evaluate/batch` route: one decoded batch fans its items over
+/// the same `run_jobs` pool and shared `SweepCache` the sweeps use, so
+/// weights, traces and per-layer term planes are built once per key
+/// across the whole batch. Items are independent: each reports its own
+/// result or error, in request order — `{"status": 200, "result": {…}}`,
+/// the object byte-identical to the standalone `POST /evaluate` body, or
+/// `{"status": s, "error": "…"}` — under the batch's one deadline.
+fn evaluate_batch(
+    shared: &Shared,
+    body: &[u8],
+    anchor: Instant,
+    dequeued_at: Instant,
+) -> Result<Reply, Reply> {
+    let batch = decode(shared, body, dequeued_at, json(BatchRequest::from_json))?;
+    shared.metrics.batch_items_total.fetch_add(batch.items.len() as u64, Ordering::Relaxed);
+    // Fan the items over the pool, bounded *globally*: the batch always
+    // gets this serving worker (fan 1 runs inline) plus however many
+    // extra-thread permits remain server-wide, so W workers all serving
+    // batches at once cannot stack W² evaluation threads. Results come
+    // back in item order (run_jobs is order-stable at any parallelism).
+    let want = batch.items.len().min(shared.config.workers.get()).saturating_sub(1);
+    let permits =
+        PermitGuard { permits: &shared.batch_fan, n: shared.batch_fan.acquire_up_to(want) };
+    let tasks: Vec<_> = batch
+        .items
+        .iter()
+        .map(|item| {
+            move || {
+                let outcome = item
+                    .as_ref()
+                    .map_err(|e| (400, e.clone()))
+                    .and_then(|req| evaluate_one(shared, req, anchor, batch.deadline_ms));
+                match outcome {
+                    Ok(a) => (
+                        200,
+                        JsonValue::object(vec![
+                            ("status", 200u64.into()),
+                            ("result", result_to_json(&a.result, a.source_pixels)),
+                        ]),
+                    ),
+                    Err((status, e)) => (
+                        status,
+                        JsonValue::object(vec![
+                            ("status", u64::from(status).into()),
+                            ("error", JsonValue::from(e.as_str())),
+                        ]),
+                    ),
+                }
+            }
+        })
+        .collect();
+    let outcomes = stage(shared, Stage::Evaluate, || run_jobs(tasks, Jobs::new(1 + permits.n)));
+    drop(permits);
+    let errors = outcomes.iter().filter(|(s, _)| *s != 200).count();
+    let body = stage(shared, Stage::Serialize, || {
+        JsonValue::object(vec![
+            ("count", outcomes.len().into()),
+            ("errors", errors.into()),
+            ("items", JsonValue::Array(outcomes.into_iter().map(|(_, v)| v).collect())),
+        ])
+        .to_json()
+    });
+    Ok((200, body))
 }
 
 #[cfg(test)]

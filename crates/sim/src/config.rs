@@ -109,6 +109,10 @@ pub enum Architecture {
 }
 
 impl Architecture {
+    /// Every modelled architecture.
+    pub const ALL: [Architecture; 4] =
+        [Architecture::Vaa, Architecture::Pra, Architecture::Diffy, Architecture::Scnn];
+
     /// Display name as used in the paper's figures.
     pub fn name(&self) -> &'static str {
         match self {

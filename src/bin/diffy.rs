@@ -22,8 +22,9 @@ use diffy::encoding::delta::delta_rows_wrapping;
 use diffy::encoding::terms::stats_of_acts;
 use diffy::encoding::StorageScheme;
 use diffy::imaging::datasets::DatasetId;
-use diffy::memsys::{MemoryNode, MemorySystem};
+use diffy::memsys::MemorySystem;
 use diffy::models::CiModel;
+use diffy::serve::protocol;
 use diffy::sim::{AcceleratorConfig, Architecture};
 use std::cell::Cell;
 use std::process::ExitCode;
@@ -200,15 +201,11 @@ impl Args {
 }
 
 fn parse_model(args: &Args) -> Result<CiModel, String> {
-    let name = args
-        .items
+    args.items
         .iter()
-        .find(|a| !a.starts_with("--") && CiModel::ALL.iter().any(|m| m.name().eq_ignore_ascii_case(a)))
-        .ok_or_else(|| "missing or unknown model (DnCNN/FFDNet/IRCNN/JointNet/VDSR)".to_string())?;
-    Ok(CiModel::ALL
-        .into_iter()
-        .find(|m| m.name().eq_ignore_ascii_case(name))
-        .expect("checked above"))
+        .filter(|a| !a.starts_with("--"))
+        .find_map(|a| protocol::parse_model(a).ok())
+        .ok_or_else(|| "missing or unknown model (DnCNN/FFDNet/IRCNN/JointNet/VDSR)".to_string())
 }
 
 fn parse_opts(args: &Args) -> Result<WorkloadOptions, String> {
@@ -231,33 +228,11 @@ fn parse_jobs(args: &Args) -> Result<Jobs, String> {
 }
 
 fn parse_scheme(args: &Args) -> Result<SchemeChoice, String> {
-    scheme_named(args.flag("--scheme")?.as_deref())
-}
-
-fn scheme_named(name: Option<&str>) -> Result<SchemeChoice, String> {
-    Ok(match name {
-        None | Some("DeltaD16") => SchemeChoice::Scheme(StorageScheme::delta_d(16)),
-        Some("NoCompression") => SchemeChoice::Scheme(StorageScheme::NoCompression),
-        Some("Profiled") => SchemeChoice::Profiled { quantile: 0.999 },
-        Some("RawD16") => SchemeChoice::Scheme(StorageScheme::raw_d(16)),
-        Some("Ideal") => SchemeChoice::Ideal,
-        Some(other) => return Err(format!("unknown scheme {other}")),
-    })
+    protocol::parse_scheme(args.flag("--scheme")?.as_deref().unwrap_or("DeltaD16"))
 }
 
 fn parse_memory(args: &Args) -> Result<MemorySystem, String> {
-    let node = match args.flag("--memory")?.as_deref() {
-        None | Some("DDR4-3200") => MemoryNode::Ddr4_3200,
-        Some("DDR3-1600") => MemoryNode::Ddr3_1600,
-        Some("LPDDR3-1600") => MemoryNode::Lpddr3_1600,
-        Some("LPDDR3E-2133") => MemoryNode::Lpddr3e2133,
-        Some("LPDDR4-3200") => MemoryNode::Lpddr4_3200,
-        Some("LPDDR4X-3733") => MemoryNode::Lpddr4x3733,
-        Some("LPDDR4X-4267") => MemoryNode::Lpddr4x4267,
-        Some("HBM2") => MemoryNode::Hbm2,
-        Some("HBM3") => MemoryNode::Hbm3,
-        Some(other) => return Err(format!("unknown memory node {other}")),
-    };
+    let node = protocol::parse_memory(args.flag("--memory")?.as_deref().unwrap_or("DDR4-3200"))?;
     Ok(MemorySystem::single(node))
 }
 
@@ -535,28 +510,12 @@ fn cmd_precompute(args: &Args) -> Result<(), String> {
     };
     let models = match args.flag("--models")?.as_deref() {
         None | Some("all") => CiModel::ALL.to_vec(),
-        Some(_) => parse_list(args, "--models", |name| {
-            CiModel::ALL
-                .into_iter()
-                .find(|m| m.name().eq_ignore_ascii_case(name))
-                .ok_or_else(|| format!("unknown model `{name}`"))
-        })?
-        .expect("flag present"),
+        Some(_) => parse_list(args, "--models", protocol::parse_model)?.expect("flag present"),
     };
-    let datasets = parse_list(args, "--datasets", |name| {
-        DatasetId::ALL
-            .into_iter()
-            .find(|d| d.name().eq_ignore_ascii_case(name))
-            .ok_or_else(|| format!("unknown dataset `{name}`"))
-    })?;
-    let archs = parse_list(args, "--archs", |name| {
-        [Architecture::Vaa, Architecture::Pra, Architecture::Diffy, Architecture::Scnn]
-            .into_iter()
-            .find(|a| a.name().eq_ignore_ascii_case(name))
-            .ok_or_else(|| format!("unknown arch `{name}` (VAA/PRA/Diffy/SCNN)"))
-    })?
-    .unwrap_or_else(|| vec![Architecture::Diffy]);
-    let schemes = parse_list(args, "--schemes", |name| scheme_named(Some(name)))?
+    let datasets = parse_list(args, "--datasets", protocol::parse_dataset)?;
+    let archs = parse_list(args, "--archs", protocol::parse_arch)?
+        .unwrap_or_else(|| vec![Architecture::Diffy]);
+    let schemes = parse_list(args, "--schemes", protocol::parse_scheme)?
         .unwrap_or_else(|| vec![SchemeChoice::Scheme(StorageScheme::delta_d(16))]);
     args.finish()?;
 

@@ -212,3 +212,42 @@ fn serve_rejects_unbindable_address() {
     assert!(!out.status.success(), "bad --addr must fail");
     assert!(stderr(&out).contains("bind failed"), "stderr: {}", stderr(&out));
 }
+
+#[test]
+fn name_flags_take_every_protocol_name_and_nothing_else() {
+    // The CLI spells memory nodes, schemes and architectures with the
+    // request protocol's parsers: every name a request may carry works
+    // on the command line, and an unknown one fails by name.
+    use diffy::serve::protocol;
+    for node in diffy::memsys::MemoryNode::ALL {
+        assert_eq!(protocol::parse_memory(node.name()), Ok(node));
+        let out = diffy(&["compare", "IRCNN", "--res", "16", "--memory", node.name()]);
+        assert!(out.status.success(), "--memory {node}: {}", stderr(&out));
+    }
+    for scheme in ["NoCompression", "Profiled", "RawD16", "DeltaD16", "Ideal"] {
+        assert!(protocol::parse_scheme(scheme).is_ok(), "{scheme}");
+        let out = diffy(&["compare", "IRCNN", "--res", "16", "--scheme", scheme]);
+        assert!(out.status.success(), "--scheme {scheme}: {}", stderr(&out));
+    }
+    let dir = std::env::temp_dir().join(format!("diffy_cli_names_{}", std::process::id()));
+    let dir = dir.to_str().unwrap();
+    let archs: Vec<&str> = diffy::sim::Architecture::ALL.iter().map(|a| a.name()).collect();
+    let archs = archs.join(",");
+    let precompute = |archs: &str| {
+        let grid = ["precompute", "--out", dir, "--models", "IRCNN", "--datasets", "Kodak24"];
+        diffy(&[&grid[..], &["--res", "16", "--archs", archs]].concat())
+    };
+    let out = precompute(&archs);
+    assert!(out.status.success(), "--archs {archs}: {}", stderr(&out));
+
+    let unknown = [
+        (diffy(&["compare", "IRCNN", "--memory", "SRAM"]), "unknown memory node `SRAM`"),
+        (diffy(&["compare", "IRCNN", "--scheme", "zip"]), "unknown scheme `zip`"),
+        (precompute("Diffy,TPU"), "unknown arch `TPU`"),
+    ];
+    let _ = std::fs::remove_dir_all(dir);
+    for (out, needle) in unknown {
+        assert!(!out.status.success(), "{needle} must fail");
+        assert!(stderr(&out).contains(needle), "stderr: {}", stderr(&out));
+    }
+}

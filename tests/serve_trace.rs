@@ -1,14 +1,16 @@
 //! End-to-end check of the serve-layer trace: one real request against a
 //! live server must yield a Chrome-loadable trace whose per-stage spans
 //! tile the request span, and whose request span agrees with the
-//! `/metrics` latency histogram for the same request.
+//! `/metrics` latency histogram for the same request. Every other traced
+//! route (a batch, a session's create, frame and close) must then yield
+//! one request span of its kind whose stages tile it the same way.
 //!
 //! This is the acceptance gate of the tracing work: if a stage were
 //! missed (or double-counted), the stage sum would drift away from the
 //! observed wall-clock latency.
 
 use diffy::core::json::JsonValue;
-use diffy::serve::{get, post, ServeConfig, Server};
+use diffy::serve::{get, post, ServeConfig, Server, SessionClient};
 use std::time::Duration;
 
 const TIMEOUT: Duration = Duration::from_secs(30);
@@ -30,6 +32,38 @@ fn events(trace: &JsonValue) -> &[JsonValue] {
 
 fn arg_u64(ev: &JsonValue, key: &str) -> Option<u64> {
     ev.get("args")?.get(key)?.as_u64()
+}
+
+fn name_of(ev: &JsonValue) -> Option<&str> {
+    ev.get("name")?.as_str()
+}
+
+fn dur_ms(ev: &JsonValue) -> f64 {
+    ev.get("dur").unwrap().as_f64().unwrap() / 1000.0
+}
+
+/// Asserts that `trace` holds exactly one request span of `kind`, that
+/// each of `stages` appears once under it, and that they sum to it.
+fn assert_route_tiles(trace: &JsonValue, kind: &str, stages: &[&str]) {
+    let requests: Vec<&JsonValue> = events(trace)
+        .iter()
+        .filter(|e| {
+            name_of(e) == Some("request")
+                && e.get("args").and_then(|a| a.get("kind")).and_then(|k| k.as_str()) == Some(kind)
+        })
+        .collect();
+    assert_eq!(requests.len(), 1, "expected one {kind:?} request span");
+    let request_id = arg_u64(requests[0], "span_id").expect("request span_id");
+    let mut stage_sum_ms = 0.0;
+    for &name in stages {
+        let stage: Vec<&JsonValue> = events(trace)
+            .iter()
+            .filter(|e| name_of(e) == Some(name) && arg_u64(e, "parent") == Some(request_id))
+            .collect();
+        assert_eq!(stage.len(), 1, "{kind}: stage {name:?} must appear once under the request");
+        stage_sum_ms += dur_ms(stage[0]);
+    }
+    close(stage_sum_ms, dur_ms(requests[0]), &format!("{kind}: stage sum vs request span"));
 }
 
 #[test]
@@ -81,9 +115,9 @@ fn one_request_yields_a_consistent_stage_breakdown() {
     let request_id = arg_u64(request, "span_id").expect("request span_id");
     let request_ms = request.get("dur").unwrap().as_f64().unwrap() / 1000.0;
 
-    // The six stages tile the request span: their durations must sum to
+    // The five stages tile the request span: their durations must sum to
     // the request duration, and that must match the /metrics latency.
-    let stage_names = ["queue_wait", "parse", "trace", "evaluate", "serialize", "write"];
+    let stage_names = ["queue_wait", "parse", "evaluate", "serialize", "write"];
     let mut stage_sum_ms = 0.0;
     for name in stage_names {
         let stage: Vec<&JsonValue> = events(&trace)
@@ -105,6 +139,28 @@ fn one_request_yields_a_consistent_stage_breakdown() {
     for name in stage_names {
         let count = stages_ms.get(name).unwrap().get("count").unwrap().as_u64();
         assert_eq!(count, Some(1), "stage {name:?} histogram count");
+    }
+
+    // Every other traced route goes through the same request frame.
+    let batch = r#"{"defaults": {"model": "IRCNN", "dataset": "Kodak24", "resolution": 32},
+                    "items": [{}, {"seed": 7}]}"#;
+    let resp = post(addr, "/evaluate/batch", batch, TIMEOUT).expect("batch");
+    assert_eq!(resp.status, 200, "body: {}", resp.body);
+    let mut session = SessionClient::new(addr, TIMEOUT);
+    let created = session.create(r#"{"model": "IRCNN", "resolution": 16, "frames": 2}"#);
+    assert_eq!(created.expect("create").status, 200);
+    assert_eq!(session.frame("").expect("frame").status, 200);
+    assert_eq!(session.close().expect("close").status, 200);
+
+    let trace = diffy::core::json::parse(&get(addr, "/trace", TIMEOUT).expect("trace").body)
+        .expect("trace endpoint serves JSON");
+    assert_route_tiles(&trace, "evaluate", &stage_names);
+    assert_route_tiles(&trace, "batch", &stage_names);
+    // Session handlers parse and serialize their own bodies, inside the
+    // evaluate stage.
+    let session_stages = ["queue_wait", "parse", "evaluate", "write"];
+    for kind in ["session_create", "session_frame", "session_close"] {
+        assert_route_tiles(&trace, kind, &session_stages);
     }
 
     handle.shutdown();
