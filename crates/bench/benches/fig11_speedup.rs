@@ -3,29 +3,22 @@
 //! Ideal). DDR4-3200, Table IV configuration, HD-class workload traced
 //! at reduced resolution (per-pixel work is resolution-stationary).
 
-use diffy_bench::{all_ci_bundles, banner, bench_options, geomean};
+use diffy_bench::{
+    all_ci_bundles, banner, bench_options, geomean, scheme_header, COMPRESSION_SCHEMES,
+};
 use diffy_core::accelerator::{EvalOptions, SchemeChoice};
 use diffy_core::summary::TextTable;
-use diffy_encoding::StorageScheme;
 use diffy_sim::Architecture;
-
-fn schemes() -> [(&'static str, SchemeChoice); 4] {
-    [
-        ("NoCompression", SchemeChoice::Scheme(StorageScheme::NoCompression)),
-        ("Profiled", SchemeChoice::Profiled { quantile: 0.999 }),
-        ("DeltaD16", SchemeChoice::Scheme(StorageScheme::delta_d(16))),
-        ("Ideal", SchemeChoice::Ideal),
-    ]
-}
 
 fn main() {
     let opts = bench_options();
     banner("Fig. 11", "PRA/Diffy speedup over VAA per compression scheme", &opts);
 
-    let mut table = TextTable::new(vec![
-        "network", "arch", "NoCompression", "Profiled", "DeltaD16", "Ideal",
-    ]);
-    let mut geo: Vec<Vec<f64>> = vec![Vec::new(); 8];
+    let schemes: Vec<SchemeChoice> =
+        COMPRESSION_SCHEMES.into_iter().chain([SchemeChoice::Ideal]).collect();
+    let archs = [Architecture::Pra, Architecture::Diffy];
+    let mut table = TextTable::new(scheme_header(&["network", "arch"], &schemes));
+    let mut geo: Vec<Vec<f64>> = vec![Vec::new(); archs.len() * schemes.len()];
 
     for (model, bundles) in all_ci_bundles(&opts) {
         // VAA baseline: compute-bound, unaffected by compression (checked
@@ -33,32 +26,27 @@ fn main() {
         let vaa_cycles: u64 = bundles
             .iter()
             .map(|b| {
-                b.evaluate(&EvalOptions::new(
-                    Architecture::Vaa,
-                    SchemeChoice::Scheme(StorageScheme::NoCompression),
-                ))
-                .total_cycles()
+                b.evaluate(&EvalOptions::new(Architecture::Vaa, SchemeChoice::NO_COMPRESSION))
+                    .total_cycles()
             })
             .sum();
-        for (ai, arch) in [Architecture::Pra, Architecture::Diffy].into_iter().enumerate() {
+        for (ai, arch) in archs.into_iter().enumerate() {
             let mut row = vec![model.name().to_string(), arch.name().to_string()];
-            for (si, (_, scheme)) in schemes().into_iter().enumerate() {
+            for (si, &scheme) in schemes.iter().enumerate() {
                 let cycles: u64 = bundles
                     .iter()
                     .map(|b| b.evaluate(&EvalOptions::new(arch, scheme)).total_cycles())
                     .sum();
                 let speedup = vaa_cycles as f64 / cycles as f64;
-                geo[ai * 4 + si].push(speedup);
+                geo[ai * schemes.len() + si].push(speedup);
                 row.push(format!("{speedup:.2}x"));
             }
             table.row(row);
         }
     }
-    for (ai, arch) in ["PRA", "Diffy"].into_iter().enumerate() {
-        let mut row = vec!["geomean".to_string(), arch.to_string()];
-        for si in 0..4 {
-            row.push(format!("{:.2}x", geomean(&geo[ai * 4 + si])));
-        }
+    for (arch, arch_geo) in archs.iter().zip(geo.chunks(schemes.len())) {
+        let mut row = vec!["geomean".to_string(), arch.name().to_string()];
+        row.extend(arch_geo.iter().map(|g| format!("{:.2}x", geomean(g))));
         table.row(row);
     }
     println!("{}", table.render());

@@ -5,7 +5,6 @@
 use diffy_bench::{banner, bench_options, ci_bundles};
 use diffy_core::accelerator::{EvalOptions, SchemeChoice};
 use diffy_core::summary::TextTable;
-use diffy_encoding::StorageScheme;
 use diffy_models::CiModel;
 use diffy_sim::Architecture;
 
@@ -16,7 +15,7 @@ fn main() {
 
     let eval = EvalOptions::new(
         Architecture::Diffy,
-        SchemeChoice::Scheme(StorageScheme::delta_d(16)),
+        SchemeChoice::DELTA_D16,
     );
     for model in CiModel::ALL {
         let bundles = ci_bundles(model, &opts);

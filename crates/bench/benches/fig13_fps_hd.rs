@@ -3,29 +3,20 @@
 //! and are projected to HD linearly in pixel count (CI-DNNs are fully
 //! convolutional; DESIGN.md §2.3).
 
-use diffy_bench::{all_ci_bundles, banner, bench_options};
-use diffy_core::accelerator::{EvalOptions, SchemeChoice};
+use diffy_bench::{all_ci_bundles, banner, bench_options, scheme_header, COMPRESSION_SCHEMES};
+use diffy_core::accelerator::EvalOptions;
 use diffy_core::summary::TextTable;
-use diffy_encoding::StorageScheme;
 use diffy_sim::Architecture;
 
 fn main() {
     let opts = bench_options();
     banner("Fig. 13", "HD (1920x1080) frames per second", &opts);
 
-    let schemes: [(&str, SchemeChoice); 3] = [
-        ("NoCompression", SchemeChoice::Scheme(StorageScheme::NoCompression)),
-        ("Profiled", SchemeChoice::Profiled { quantile: 0.999 }),
-        ("DeltaD16", SchemeChoice::Scheme(StorageScheme::delta_d(16))),
-    ];
-
-    let mut table = TextTable::new(vec![
-        "network", "arch", "NoCompression", "Profiled", "DeltaD16",
-    ]);
+    let mut table = TextTable::new(scheme_header(&["network", "arch"], &COMPRESSION_SCHEMES));
     for (model, bundles) in all_ci_bundles(&opts) {
         for arch in [Architecture::Vaa, Architecture::Pra, Architecture::Diffy] {
             let mut row = vec![model.name().to_string(), arch.name().to_string()];
-            for (_, scheme) in schemes {
+            for scheme in COMPRESSION_SCHEMES {
                 // Average FPS over the workload (FPS varies with content,
                 // as the paper notes: +-7.5% PRA, +-15% Diffy).
                 let fps: f64 = bundles

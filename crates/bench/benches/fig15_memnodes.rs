@@ -3,10 +3,9 @@
 //! delta compression sustains near-peak performance even on low-end
 //! memory nodes.
 
-use diffy_bench::{all_ci_bundles, banner, bench_options};
+use diffy_bench::{all_ci_bundles, banner, bench_options, scheme_header, COMPRESSION_SCHEMES};
 use diffy_core::accelerator::{EvalOptions, SchemeChoice};
 use diffy_core::summary::TextTable;
-use diffy_encoding::StorageScheme;
 use diffy_memsys::{MemoryNode, MemorySystem};
 use diffy_sim::Architecture;
 
@@ -14,29 +13,19 @@ fn main() {
     let opts = bench_options();
     banner("Fig. 15", "Diffy speedup over VAA across memory nodes", &opts);
 
-    let schemes: [(&str, SchemeChoice); 3] = [
-        ("NoCompression", SchemeChoice::Scheme(StorageScheme::NoCompression)),
-        ("Profiled", SchemeChoice::Profiled { quantile: 0.999 }),
-        ("DeltaD16", SchemeChoice::Scheme(StorageScheme::delta_d(16))),
-    ];
-
     for (model, bundles) in all_ci_bundles(&opts) {
         let vaa_cycles: u64 = bundles
             .iter()
             .map(|b| {
-                b.evaluate(&EvalOptions::new(
-                    Architecture::Vaa,
-                    SchemeChoice::Scheme(StorageScheme::NoCompression),
-                ))
-                .total_cycles()
+                b.evaluate(&EvalOptions::new(Architecture::Vaa, SchemeChoice::NO_COMPRESSION))
+                    .total_cycles()
             })
             .sum();
         println!("{}:", model.name());
-        let mut table =
-            TextTable::new(vec!["memory node", "NoCompression", "Profiled", "DeltaD16"]);
+        let mut table = TextTable::new(scheme_header(&["memory node"], &COMPRESSION_SCHEMES));
         for node in MemoryNode::FIG15_SWEEP {
             let mut row = vec![node.name().to_string()];
-            for (_, scheme) in schemes {
+            for scheme in COMPRESSION_SCHEMES {
                 let cycles: u64 = bundles
                     .iter()
                     .map(|b| {

@@ -6,7 +6,6 @@ use diffy_bench::{all_ci_bundles, banner, bench_options};
 use diffy_core::accelerator::{EvalOptions, SchemeChoice};
 use diffy_core::scaling::{megapixels_to_pixels, FIG17_MEGAPIXELS};
 use diffy_core::summary::TextTable;
-use diffy_encoding::StorageScheme;
 use diffy_sim::Architecture;
 
 fn main() {
@@ -18,7 +17,7 @@ fn main() {
     let mut table = TextTable::new(header);
     let eval = EvalOptions::new(
         Architecture::Diffy,
-        SchemeChoice::Scheme(StorageScheme::delta_d(16)),
+        SchemeChoice::DELTA_D16,
     );
 
     for (model, bundles) in all_ci_bundles(&opts) {

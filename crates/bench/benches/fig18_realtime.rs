@@ -2,23 +2,15 @@
 //! real-time (30 FPS) HD processing with Diffy, per model and per
 //! compression scheme.
 
-use diffy_bench::{banner, bench_options, ci_bundles};
-use diffy_core::accelerator::SchemeChoice;
+use diffy_bench::{banner, bench_options, ci_bundles, COMPRESSION_SCHEMES};
 use diffy_core::scaling::min_realtime_config;
 use diffy_core::summary::TextTable;
-use diffy_encoding::StorageScheme;
 use diffy_models::CiModel;
 
 fn main() {
     let mut opts = bench_options();
     opts.samples_per_dataset = opts.samples_per_dataset.min(1);
     banner("Fig. 18", "minimum Diffy configuration for 30 FPS at HD", &opts);
-
-    let schemes: [(&str, SchemeChoice); 3] = [
-        ("NoCompression", SchemeChoice::Scheme(StorageScheme::NoCompression)),
-        ("Profiled", SchemeChoice::Profiled { quantile: 0.999 }),
-        ("DeltaD16", SchemeChoice::Scheme(StorageScheme::delta_d(16))),
-    ];
 
     let mut table = TextTable::new(vec!["network", "scheme", "tiles", "memory"]);
     for model in CiModel::ALL {
@@ -28,12 +20,12 @@ fn main() {
             .iter()
             .find(|b| b.dataset == Some(diffy_imaging::datasets::DatasetId::Hd33))
             .unwrap_or(&bundles[0]);
-        for (label, scheme) in schemes {
+        for scheme in COMPRESSION_SCHEMES {
             match min_realtime_config(bundle, scheme) {
                 Some((tiles, mem)) => {
                     table.row(vec![
                         model.name().to_string(),
-                        label.to_string(),
+                        scheme.label(),
                         tiles.to_string(),
                         mem.to_string(),
                     ]);
@@ -41,7 +33,7 @@ fn main() {
                 None => {
                     table.row(vec![
                         model.name().to_string(),
-                        label.to_string(),
+                        scheme.label(),
                         "-".to_string(),
                         "not reachable".to_string(),
                     ]);

@@ -5,7 +5,6 @@
 use diffy_bench::{all_ci_bundles, banner, bench_options, geomean};
 use diffy_core::accelerator::{EvalOptions, SchemeChoice};
 use diffy_core::summary::TextTable;
-use diffy_encoding::StorageScheme;
 use diffy_energy::components::{power_breakdown, REF_AM_BYTES, REF_WM_BYTES};
 use diffy_energy::offchip_energy_joules;
 use diffy_sim::{AcceleratorConfig, Architecture};
@@ -22,13 +21,13 @@ fn main() {
     let mut traffic_none = 0u64;
     let mut traffic_delta = 0u64;
     for (_, bundles) in all_ci_bundles(&opts) {
-        let scheme = SchemeChoice::Scheme(StorageScheme::delta_d(16));
+        let scheme = SchemeChoice::DELTA_D16;
         let vaa: u64 = bundles
             .iter()
             .map(|b| {
                 b.evaluate(&EvalOptions::new(
                     Architecture::Vaa,
-                    SchemeChoice::Scheme(StorageScheme::NoCompression),
+                    SchemeChoice::NO_COMPRESSION,
                 ))
                 .total_cycles()
             })
@@ -48,7 +47,7 @@ fn main() {
         for b in &bundles {
             let r = b.evaluate(&EvalOptions::new(
                 Architecture::Vaa,
-                SchemeChoice::Scheme(StorageScheme::NoCompression),
+                SchemeChoice::NO_COMPRESSION,
             ));
             traffic_none += r.activation_traffic_bytes();
         }

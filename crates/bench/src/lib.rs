@@ -18,6 +18,7 @@
 
 #![warn(missing_docs)]
 
+use diffy_core::accelerator::SchemeChoice;
 use diffy_core::parallel::{run_jobs, Jobs};
 use diffy_core::runner::{datasets_for, SweepCache, TraceBundle, WorkloadOptions};
 use diffy_models::CiModel;
@@ -35,6 +36,16 @@ pub fn bench_options() -> WorkloadOptions {
         .and_then(|v| v.parse().ok())
         .unwrap_or(1);
     WorkloadOptions { resolution, samples_per_dataset, seed: 1 }
+}
+
+/// The compression schemes Figs. 11, 13, 15 and 18 compare, in column
+/// order (Fig. 11 adds Ideal).
+pub const COMPRESSION_SCHEMES: [SchemeChoice; 3] =
+    [SchemeChoice::NO_COMPRESSION, SchemeChoice::PROFILED, SchemeChoice::DELTA_D16];
+
+/// A table header: the `first` columns, then one per scheme label.
+pub fn scheme_header(first: &[&str], schemes: &[SchemeChoice]) -> Vec<String> {
+    first.iter().map(|s| s.to_string()).chain(schemes.iter().map(SchemeChoice::label)).collect()
 }
 
 /// Reads the bench worker count from `DIFFY_BENCH_JOBS` (default:

@@ -43,6 +43,27 @@ pub enum SchemeChoice {
 }
 
 impl SchemeChoice {
+    /// Fixed 16-bit storage.
+    pub const NO_COMPRESSION: SchemeChoice = SchemeChoice::Scheme(StorageScheme::NoCompression);
+    /// Profile-derived precisions at the 0.999 magnitude quantile.
+    pub const PROFILED: SchemeChoice = SchemeChoice::Profiled { quantile: 0.999 };
+    /// Dynamic per-group precision over raw values, groups of 16.
+    pub const RAW_D16: SchemeChoice = SchemeChoice::Scheme(StorageScheme::raw_d(16));
+    /// Dynamic per-group precision over deltas, groups of 16.
+    pub const DELTA_D16: SchemeChoice = SchemeChoice::Scheme(StorageScheme::delta_d(16));
+    /// The choice a request or command prices under unless it names one.
+    pub const DEFAULT: SchemeChoice = SchemeChoice::DELTA_D16;
+
+    /// Every choice a request or command can name, under its
+    /// [`label`](SchemeChoice::label).
+    pub const NAMED: [(&'static str, SchemeChoice); 5] = [
+        ("NoCompression", SchemeChoice::NO_COMPRESSION),
+        ("Profiled", SchemeChoice::PROFILED),
+        ("RawD16", SchemeChoice::RAW_D16),
+        ("DeltaD16", SchemeChoice::DELTA_D16),
+        ("Ideal", SchemeChoice::Ideal),
+    ];
+
     /// Display label matching the paper's figures.
     pub fn label(&self) -> String {
         match self {
@@ -67,14 +88,14 @@ pub struct EvalOptions {
 }
 
 impl EvalOptions {
-    /// Paper-default evaluation: Table IV config, DDR4-3200, the given
-    /// architecture and scheme.
+    /// Paper-default evaluation: Table IV config, the default memory node,
+    /// the given architecture and scheme.
     pub fn new(arch: Architecture, scheme: SchemeChoice) -> Self {
         Self {
             arch,
             cfg: AcceleratorConfig::table4(),
             scheme,
-            memory: MemorySystem::single(diffy_memsys::MemoryNode::Ddr4_3200),
+            memory: MemorySystem::single(diffy_memsys::MemoryNode::DEFAULT),
         }
     }
 }
@@ -353,9 +374,9 @@ mod tests {
             evaluate_network(&trace, &EvalOptions::new(Architecture::Diffy, scheme))
                 .activation_traffic_bytes()
         };
-        let none = mk(SchemeChoice::Scheme(StorageScheme::NoCompression));
-        let prof = mk(SchemeChoice::Profiled { quantile: 0.999 });
-        let delta = mk(SchemeChoice::Scheme(StorageScheme::delta_d(16)));
+        let none = mk(SchemeChoice::NO_COMPRESSION);
+        let prof = mk(SchemeChoice::PROFILED);
+        let delta = mk(SchemeChoice::DELTA_D16);
         assert!(prof < none);
         assert!(delta < prof);
     }
@@ -382,5 +403,12 @@ mod tests {
         assert_eq!(r.layers.len(), trace.layers.len());
         assert_eq!(r.layers[0].name, "c0");
         assert_eq!(r.arch, "PRA");
+    }
+
+    #[test]
+    fn named_choices_are_labelled_by_their_names() {
+        for (name, choice) in SchemeChoice::NAMED {
+            assert_eq!(choice.label(), name);
+        }
     }
 }

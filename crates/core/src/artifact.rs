@@ -219,15 +219,8 @@ fn f64_field(v: &JsonValue, key: &str) -> Result<f64, ArtifactError> {
         .ok_or_else(|| ArtifactError::Payload(format!("field `{key}` is not a number")))
 }
 
-/// Maps an architecture name back to the interned `&'static str` the
-/// result structs carry. Unknown names are a payload error — the name
-/// set is closed.
-fn arch_static(name: &str) -> Option<&'static str> {
-    Architecture::ALL.iter().map(|a| a.name()).find(|n| *n == name)
-}
-
-/// Serializes one layer's compute counters: the `compute` object of
-/// [`layer_to_json`], and one layer of a served session frame.
+/// Serializes one layer's compute counters: the `compute` object of a
+/// payload layer, and one layer of a served session frame.
 pub fn layer_cycles_to_json(c: &LayerCycles) -> JsonValue {
     JsonValue::object(vec![
         ("cycles", c.cycles.into()),
@@ -239,10 +232,8 @@ pub fn layer_cycles_to_json(c: &LayerCycles) -> JsonValue {
     ])
 }
 
-/// Serializes one layer's result. The artifact payload and the served
-/// `/evaluate` body both carry this object, so stored and served layers
-/// are the same bytes.
-pub fn layer_to_json(l: &LayerResult) -> JsonValue {
+/// Serializes one layer's result, an entry of the payload's `layers`.
+fn layer_to_json(l: &LayerResult) -> JsonValue {
     JsonValue::object(vec![
         ("name", l.name.as_str().into()),
         ("compute", layer_cycles_to_json(&l.compute)),
@@ -294,26 +285,42 @@ fn layer_from_json(v: &JsonValue) -> Result<LayerResult, ArtifactError> {
     })
 }
 
+/// The members of an evaluation's payload document: the network header
+/// (`model`, `arch`, `scheme`, `frequency_ghz`, `source_pixels`) and
+/// every layer. The served `/evaluate` body is these members plus
+/// `totals`, so stored and served results share these bytes.
+pub fn payload_members(
+    result: &NetworkResult,
+    source_pixels: u64,
+) -> Vec<(&'static str, JsonValue)> {
+    vec![
+        ("model", result.model.as_str().into()),
+        ("arch", result.arch.into()),
+        ("scheme", result.scheme.as_str().into()),
+        ("frequency_ghz", result.frequency_ghz.into()),
+        ("source_pixels", source_pixels.into()),
+        ("layers", JsonValue::Array(result.layers.iter().map(layer_to_json).collect())),
+    ]
+}
+
 /// Serializes an evaluation to the artifact payload document. Every
 /// integer stays integral (u64-exact) and the float fields use the
 /// deterministic shortest-roundtrip rendering, so
 /// `payload_from_json(payload_to_json(a)) == a` bit-for-bit.
 pub fn payload_to_json(a: &EvalArtifact) -> JsonValue {
-    JsonValue::object(vec![
-        ("model", a.result.model.as_str().into()),
-        ("arch", a.result.arch.into()),
-        ("scheme", a.result.scheme.as_str().into()),
-        ("frequency_ghz", a.result.frequency_ghz.into()),
-        ("source_pixels", a.source_pixels.into()),
-        ("layers", JsonValue::Array(a.result.layers.iter().map(layer_to_json).collect())),
-    ])
+    JsonValue::object(payload_members(&a.result, a.source_pixels))
 }
 
 /// Decodes an artifact payload back into an evaluation. Any shape
 /// mismatch is a reasoned [`ArtifactError::Payload`].
 pub fn payload_from_json(v: &JsonValue) -> Result<EvalArtifact, ArtifactError> {
+    // The result structs carry the interned `Architecture::name`; the
+    // name set is closed, so an unknown one is a payload error.
     let arch_name = str_field(v, "arch")?;
-    let arch = arch_static(arch_name)
+    let arch = Architecture::ALL
+        .iter()
+        .map(|a| a.name())
+        .find(|&n| n == arch_name)
         .ok_or_else(|| ArtifactError::Payload(format!("unknown architecture `{arch_name}`")))?;
     let layers = field(v, "layers")?
         .as_array()

@@ -112,16 +112,6 @@ pub fn differential_conv2d(
     omap
 }
 
-/// The fraction of outputs computed differentially under Diffy's
-/// dataflow: everything except the leftmost output of each row.
-pub fn differential_fraction(out_w: usize) -> f64 {
-    if out_w == 0 {
-        0.0
-    } else {
-        (out_w - 1) as f64 / out_w as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -216,12 +206,5 @@ mod tests {
             differential_conv2d(&imap, &fmaps, None, geom),
             conv2d(&imap, &fmaps, None, geom)
         );
-    }
-
-    #[test]
-    fn differential_fraction_values() {
-        assert_eq!(differential_fraction(0), 0.0);
-        assert_eq!(differential_fraction(1), 0.0);
-        assert!((differential_fraction(16) - 15.0 / 16.0).abs() < 1e-12);
     }
 }

@@ -11,6 +11,7 @@ use crate::runner::{EvalPoint, SweepCache, TraceBundle, WorkloadOptions};
 use crate::summary::fmt_bytes;
 use diffy_encoding::StorageScheme;
 use diffy_imaging::datasets::DatasetId;
+use diffy_memsys::MemoryNode;
 use diffy_models::CiModel;
 use diffy_sim::Architecture;
 use std::fmt::Write as _;
@@ -31,7 +32,7 @@ pub struct ReportOptions {
 impl Default for ReportOptions {
     fn default() -> Self {
         Self {
-            workload: WorkloadOptions { resolution: 64, samples_per_dataset: 1, seed: 1 },
+            workload: WorkloadOptions::DEFAULT,
             models: [true; 5],
             jobs: Jobs::SERIAL,
         }
@@ -49,10 +50,13 @@ pub fn render_report(opts: &ReportOptions) -> String {
         w.resolution, w.seed
     );
 
-    let _ = writeln!(out, "## Architecture comparison (DeltaD16, DDR4-3200)\n");
-    let _ = writeln!(out, "| model | VAA HD FPS | PRA | Diffy | Diffy/VAA | Diffy/PRA |");
+    const ARCHS: [Architecture; 3] =
+        [Architecture::Vaa, Architecture::Pra, Architecture::Diffy];
+    let (scheme, memory, [v, p, d]) =
+        (SchemeChoice::DEFAULT, MemoryNode::DEFAULT, ARCHS.map(|a| a.name()));
+    let _ = writeln!(out, "## Architecture comparison ({}, {memory})\n", scheme.label());
+    let _ = writeln!(out, "| model | {v} HD FPS | {p} | {d} | {d}/{v} | {d}/{p} |");
     let _ = writeln!(out, "|---|---|---|---|---|---|");
-    let scheme = SchemeChoice::Scheme(StorageScheme::delta_d(16));
     let selected: Vec<CiModel> = CiModel::ALL
         .into_iter()
         .enumerate()
@@ -79,8 +83,6 @@ pub fn render_report(opts: &ReportOptions) -> String {
     let bundles: Vec<(CiModel, Arc<TraceBundle>)> =
         selected.into_iter().zip(traced).collect();
 
-    const ARCHS: [Architecture; 3] =
-        [Architecture::Vaa, Architecture::Pra, Architecture::Diffy];
     let points: Vec<EvalPoint> = bundles
         .iter()
         .flat_map(|&(model, _)| {
@@ -110,7 +112,8 @@ pub fn render_report(opts: &ReportOptions) -> String {
     }
 
     let _ = writeln!(out, "\n## Activation compression (per-frame, traced size)\n");
-    let _ = writeln!(out, "| model | 16-bit | RawD16 | DeltaD16 |");
+    let compressed = [StorageScheme::raw_d(16), StorageScheme::delta_d(16)];
+    let _ = writeln!(out, "| model | 16-bit | {} | {} |", compressed[0], compressed[1]);
     let _ = writeln!(out, "|---|---|---|---|");
     for (model, bundle) in &bundles {
         let total = |s: StorageScheme| -> u64 {
@@ -120,8 +123,7 @@ pub fn render_report(opts: &ReportOptions) -> String {
                 .sum()
         };
         let none = total(StorageScheme::NoCompression);
-        let raw = total(StorageScheme::raw_d(16));
-        let delta = total(StorageScheme::delta_d(16));
+        let [raw, delta] = compressed.map(total);
         let _ = writeln!(
             out,
             "| {} | {} | {} ({:.0}%) | {} ({:.0}%) |",

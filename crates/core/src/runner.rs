@@ -68,6 +68,11 @@ pub struct WorkloadOptions {
 }
 
 impl WorkloadOptions {
+    /// The workload a request or command traces unless it names a
+    /// resolution or seed: 64², one sample per dataset, seed 1.
+    pub const DEFAULT: WorkloadOptions =
+        WorkloadOptions { resolution: 64, samples_per_dataset: 1, seed: 1 };
+
     /// Small configuration for tests.
     pub fn test_small() -> Self {
         Self { resolution: 32, samples_per_dataset: 1, seed: 1 }
@@ -530,14 +535,11 @@ impl SweepCache {
     }
 
     /// Temporal (Diffy-T / Diffy-ST, Table IV configuration) cycles of
-    /// frame `frame` evaluated against the previous frame, memoized per
-    /// `(spec, frame, mode)`.
-    ///
-    /// `prev` must be the bundle of frame `frame − 1` of the *same*
-    /// `spec` — the retained state a streaming session carries — so the
-    /// result is a pure function of the key and cached values are
-    /// interchangeable with fresh evaluation. Bit-identical to calling
-    /// [`temporal_network`] directly on the two frame traces.
+    /// frame `frame` evaluated against frame `frame − 1` of the same
+    /// stream, memoized per `(spec, frame, mode)`. Both frames come from
+    /// [`SweepCache::video_frame`], so the result is a pure function of
+    /// the key, and bit-identical to calling [`temporal_network`]
+    /// directly on the two frame traces.
     ///
     /// # Panics
     ///
@@ -548,11 +550,11 @@ impl SweepCache {
         spec: &VideoSpec,
         frame: usize,
         mode: TemporalMode,
-        prev: &TraceBundle,
     ) -> Arc<NetworkCycles> {
         assert!(frame >= 1, "frame 0 has no previous frame");
         let key = (*spec, frame, VideoEval::Temporal(mode));
         get_or_build(&self.video_cycles, "video_cycles", key, || {
+            let prev = self.video_frame(spec, frame - 1);
             let cur = self.video_frame(spec, frame);
             let _s = crate::trace::span_args("frame_temporal", || vec![("frame", frame.into())]);
             temporal_network(&prev.trace, &cur.trace, &AcceleratorConfig::table4(), mode)
@@ -1106,15 +1108,14 @@ mod tests {
                 "baseline frame {f}"
             );
         }
-        for mode in [TemporalMode::TemporalOnly, TemporalMode::SpatioTemporal] {
+        for mode in TemporalMode::ALL {
             for f in 1..spec.frames {
-                let prev = cache.video_frame(&spec, f - 1);
-                let served = cache.video_frame_temporal(&spec, f, mode, &prev);
+                let served = cache.video_frame_temporal(&spec, f, mode);
                 let direct =
                     temporal_network(&fresh[f - 1].trace, &fresh[f].trace, &cfg, mode);
                 assert_eq!(*served, direct, "{mode:?} frame {f}");
                 // A second request must serve the memo, not recompute.
-                let again = cache.video_frame_temporal(&spec, f, mode, &prev);
+                let again = cache.video_frame_temporal(&spec, f, mode);
                 assert!(Arc::ptr_eq(&served, &again));
             }
         }
@@ -1124,9 +1125,7 @@ mod tests {
     #[should_panic(expected = "no previous frame")]
     fn temporal_frame_zero_is_rejected() {
         let spec = VideoSpec::new(CiModel::Ircnn, SceneKind::City, 16, 2, 1, 0.0, 1);
-        let cache = SweepCache::new();
-        let prev = cache.video_frame(&spec, 0);
-        let _ = cache.video_frame_temporal(&spec, 0, TemporalMode::TemporalOnly, &prev);
+        let _ = SweepCache::new().video_frame_temporal(&spec, 0, TemporalMode::TemporalOnly);
     }
 
     #[test]

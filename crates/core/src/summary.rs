@@ -75,11 +75,6 @@ pub fn fmt_x(v: f64) -> String {
     format!("{v:.2}x")
 }
 
-/// Formats a fraction as a percentage.
-pub fn fmt_pct(v: f64) -> String {
-    format!("{:.1}%", v * 100.0)
-}
-
 /// Formats bytes as a human-readable KB/MB figure.
 pub fn fmt_bytes(bytes: u64) -> String {
     if bytes >= 1 << 20 {
@@ -119,7 +114,6 @@ mod tests {
     #[test]
     fn formatters() {
         assert_eq!(fmt_x(7.1234), "7.12x");
-        assert_eq!(fmt_pct(0.082), "8.2%");
         assert_eq!(fmt_bytes(512), "512 B");
         assert_eq!(fmt_bytes(348 * 1024), "348.0 KB");
         assert_eq!(fmt_bytes(2 << 20), "2.00 MB");

@@ -113,20 +113,6 @@ impl<'a> BitReader<'a> {
     }
 }
 
-/// Writes a signed value as `n`-bit two's complement.
-///
-/// # Panics
-///
-/// Panics if `v` does not fit in `n` bits.
-pub fn write_signed(w: &mut BitWriter, v: i64, n: u32) {
-    assert!((1..=63).contains(&n));
-    let lo = -(1i64 << (n - 1));
-    let hi = (1i64 << (n - 1)) - 1;
-    assert!(v >= lo && v <= hi, "{v} does not fit in {n} signed bits");
-    let raw = (v as u64) & ((1u64 << n) - 1);
-    w.write_bits(raw, n);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -170,7 +156,7 @@ mod tests {
                     continue;
                 }
                 let mut w = BitWriter::new();
-                write_signed(&mut w, v, n);
+                w.write_bits((v as u64) & ((1u64 << n) - 1), n); // n-bit two's complement
                 let bytes = w.finish();
                 let mut r = BitReader::new(&bytes);
                 assert_eq!(r.read_signed(n), Some(v), "n={n} v={v}");
@@ -183,13 +169,6 @@ mod tests {
     fn write_bits_rejects_oversized_values() {
         let mut w = BitWriter::new();
         w.write_bits(4, 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "does not fit")]
-    fn write_signed_rejects_out_of_range() {
-        let mut w = BitWriter::new();
-        write_signed(&mut w, 2, 2); // 2-bit signed range is [-2, 1]
     }
 
     #[test]

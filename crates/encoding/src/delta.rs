@@ -96,46 +96,6 @@ pub fn undelta_rows(d: &Tensor3<i32>, stride: usize) -> Tensor3<i16> {
     out
 }
 
-/// Delta transform of a flat row of values with anchoring every
-/// `anchor_every` elements (used to model finite on-chip row segments:
-/// each segment restarts from a raw value so segments are independently
-/// decodable).
-///
-/// With `anchor_every == usize::MAX` only the first element is raw.
-///
-/// # Panics
-///
-/// Panics if `anchor_every == 0`.
-pub fn delta_slice_anchored(vs: &[i16], anchor_every: usize) -> Vec<i32> {
-    assert!(anchor_every > 0, "anchor period must be positive");
-    vs.iter()
-        .enumerate()
-        .map(|(i, &v)| {
-            if i % anchor_every == 0 {
-                v as i32
-            } else {
-                v as i32 - vs[i - 1] as i32
-            }
-        })
-        .collect()
-}
-
-/// Inverse of [`delta_slice_anchored`].
-pub fn undelta_slice_anchored(ds: &[i32], anchor_every: usize) -> Vec<i16> {
-    assert!(anchor_every > 0, "anchor period must be positive");
-    let mut out = Vec::with_capacity(ds.len());
-    for (i, &d) in ds.iter().enumerate() {
-        let v = if i % anchor_every == 0 {
-            d
-        } else {
-            d + out[i - 1] as i32
-        };
-        debug_assert!((i16::MIN as i32..=i16::MAX as i32).contains(&v));
-        out.push(v as i16);
-    }
-    out
-}
-
 /// Wrapping 16-bit delta transform along the W axis.
 ///
 /// This is exactly what the Delta_out engine's element-wise 16-bit
@@ -261,22 +221,6 @@ mod tests {
         let t = Tensor3::from_vec(1, 1, 6, vec![7i16; 6]);
         let d = delta_rows(&t, 1);
         assert_eq!(d.as_slice(), &[7, 0, 0, 0, 0, 0]);
-    }
-
-    #[test]
-    fn anchored_slice_roundtrip() {
-        let vs: Vec<i16> = (0..23).map(|v| (v * 31 % 97) as i16 - 40).collect();
-        for anchor in [1usize, 2, 5, 16, usize::MAX] {
-            let d = delta_slice_anchored(&vs, anchor);
-            assert_eq!(undelta_slice_anchored(&d, anchor), vs, "anchor={anchor}");
-        }
-    }
-
-    #[test]
-    fn anchor_every_one_is_identity() {
-        let vs = vec![3i16, -4, 5];
-        let d = delta_slice_anchored(&vs, 1);
-        assert_eq!(d, vec![3, -4, 5]);
     }
 
     #[test]

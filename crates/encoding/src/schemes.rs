@@ -68,12 +68,12 @@ pub enum StorageScheme {
 
 impl StorageScheme {
     /// `RawD{g}` constructor.
-    pub fn raw_d(group: usize) -> Self {
+    pub const fn raw_d(group: usize) -> Self {
         StorageScheme::RawDynamic { group }
     }
 
     /// `DeltaD{g}` constructor.
-    pub fn delta_d(group: usize) -> Self {
+    pub const fn delta_d(group: usize) -> Self {
         StorageScheme::DeltaDynamic { group }
     }
 

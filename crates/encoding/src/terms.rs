@@ -1,6 +1,6 @@
 //! Per-tensor effectual-term statistics (Fig. 2c and Fig. 3 of the paper).
 
-use crate::booth::{booth_terms, booth_terms_i32, MAX_TERMS_I32};
+use crate::booth::{booth_terms, MAX_TERMS_I32};
 use diffy_tensor::stats::cumulative_fractions;
 use diffy_tensor::Tensor3;
 
@@ -31,11 +31,6 @@ impl TermStats {
     /// Records a 16-bit activation.
     pub fn push_act(&mut self, v: i16) {
         self.push_terms(booth_terms(v));
-    }
-
-    /// Records a (possibly 17-bit) delta.
-    pub fn push_delta(&mut self, v: i32) {
-        self.push_terms(booth_terms_i32(v));
     }
 
     /// Merges another accumulator.
@@ -104,19 +99,10 @@ pub fn stats_of_acts(t: &Tensor3<i16>) -> TermStats {
     s
 }
 
-/// Term statistics of a delta tensor.
-pub fn stats_of_deltas(d: &Tensor3<i32>) -> TermStats {
-    let mut s = TermStats::new();
-    for &v in d.iter() {
-        s.push_delta(v);
-    }
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::delta::delta_rows;
+    use crate::delta::delta_rows_wrapping;
 
     #[test]
     fn mean_and_sparsity_on_known_values() {
@@ -155,7 +141,7 @@ mod tests {
         let vals: Vec<i16> = (0..64).map(|x| 1000 + 3 * x as i16).collect();
         let t = Tensor3::from_vec(1, 1, 64, vals);
         let raw = stats_of_acts(&t);
-        let del = stats_of_deltas(&delta_rows(&t, 1));
+        let del = stats_of_acts(&delta_rows_wrapping(&t, 1));
         assert!(
             del.mean_terms() < raw.mean_terms(),
             "delta {} !< raw {}",

@@ -19,7 +19,6 @@
 //!   image used in Fig. 2 (smooth regions + fine oriented stripes).
 //! * [`video`] — panning frame sequences for the temporal-delta
 //!   extension (§V of the paper).
-//! * [`metrics`] — MSE/PSNR for sanity-checking the imaging pipelines.
 //!
 //! Images are `Tensor3<f32>` in `[0, 1]`; [`to_fixed`] quantizes them into
 //! the accelerator's 16-bit fixed-point domain. The CI-DNN inputs are
@@ -31,7 +30,6 @@
 
 pub mod barbara;
 pub mod datasets;
-pub mod metrics;
 pub mod scenes;
 pub mod synth;
 pub mod video;
@@ -53,9 +51,4 @@ use diffy_tensor::{Quantizer, Tensor3};
 /// ```
 pub fn to_fixed(img: &Tensor3<f32>, q: Quantizer) -> Tensor3<i16> {
     img.map(|v| q.quantize(v))
-}
-
-/// Clamps an image into `[0, 1]`.
-pub fn clamp01(img: &Tensor3<f32>) -> Tensor3<f32> {
-    img.map(|v| v.clamp(0.0, 1.0))
 }

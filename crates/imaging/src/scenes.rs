@@ -32,6 +32,15 @@ pub enum SceneKind {
 impl SceneKind {
     /// All categories, in the cycling order used by the dataset registry.
     pub const ALL: [SceneKind; 3] = [SceneKind::Nature, SceneKind::City, SceneKind::Texture];
+
+    /// The category's name, as streaming-session requests spell it.
+    pub fn name(&self) -> &'static str {
+        match self {
+            SceneKind::Nature => "Nature",
+            SceneKind::City => "City",
+            SceneKind::Texture => "Texture",
+        }
+    }
 }
 
 /// Renders a seeded 3-channel scene of the given kind.

@@ -48,21 +48,6 @@ pub fn linear_gradient(h: usize, w: usize, angle: f32) -> Tensor3<f32> {
     Tensor3::from_vec(1, h, w, data)
 }
 
-/// A radial gradient centred at (`cy`, `cx`) in normalized coordinates.
-pub fn radial_gradient(h: usize, w: usize, cy: f32, cx: f32) -> Tensor3<f32> {
-    assert!(h > 0 && w > 0, "empty field");
-    let mut data = Vec::with_capacity(h * w);
-    let max_r = ((h * h + w * w) as f32).sqrt();
-    for y in 0..h {
-        for x in 0..w {
-            let dy = y as f32 - cy * h as f32;
-            let dx = x as f32 - cx * w as f32;
-            data.push(((dy * dy + dx * dx).sqrt() / max_r).min(1.0));
-        }
-    }
-    Tensor3::from_vec(1, h, w, data)
-}
-
 /// Overlays `count` random axis-aligned rectangles of constant intensity —
 /// the hard-edged geometry of man-made scenes.
 pub fn add_rectangles<R: RngExt>(field: &mut Tensor3<f32>, rng: &mut R, count: usize) {
@@ -222,13 +207,6 @@ mod tests {
                 assert!(g.at(0, y, x) >= g.at(0, y, x - 1));
             }
         }
-    }
-
-    #[test]
-    fn radial_gradient_zero_at_center() {
-        let g = radial_gradient(33, 33, 0.5, 0.5);
-        assert!(*g.at(0, 16, 16) < 0.05);
-        assert!(*g.at(0, 0, 0) > *g.at(0, 16, 16));
     }
 
     #[test]

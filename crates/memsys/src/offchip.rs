@@ -44,6 +44,10 @@ impl MemoryNode {
         MemoryNode::Hbm3,
     ];
 
+    /// The paper's default node, and the one a request or command prices
+    /// under unless it names one.
+    pub const DEFAULT: MemoryNode = MemoryNode::Ddr4_3200;
+
     /// The sweep of Fig. 15, low-end to high-end.
     pub const FIG15_SWEEP: [MemoryNode; 6] = [
         MemoryNode::Lpddr3_1600,

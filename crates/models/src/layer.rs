@@ -41,11 +41,6 @@ impl ConvSpec {
         }
     }
 
-    /// Total weights of this layer for `in_channels` incoming channels.
-    pub fn weight_count(&self, in_channels: usize) -> usize {
-        self.out_channels * in_channels * self.filter * self.filter
-    }
-
     /// Size in bytes of a single filter at 16-bit weights.
     pub fn filter_bytes(&self, in_channels: usize) -> usize {
         in_channels * self.filter * self.filter * 2
@@ -110,7 +105,6 @@ mod tests {
         let c = ConvSpec::same3("c", 64, true);
         assert_eq!(c.filter_bytes(64), 1152);
         assert_eq!(c.total_filter_bytes(64), 73_728);
-        assert_eq!(c.weight_count(64), 36_864);
     }
 
     #[test]

@@ -62,12 +62,6 @@ impl NetworkTrace {
         self.layers.iter().map(|l| l.macs()).sum()
     }
 
-    /// Total activation count across all imaps (the value population the
-    /// compression experiments measure).
-    pub fn total_activations(&self) -> u64 {
-        self.layers.iter().map(|l| l.imap.len() as u64).sum()
-    }
-
     /// The omap of layer `i`: the imap of layer `i + 1`, or the network
     /// output for the last layer.
     ///
@@ -117,7 +111,6 @@ mod tests {
         let l1 = mk_layer(1, Tensor3::<i16>::filled(2, 4, 4, 2));
         let out = Tensor3::<i16>::filled(2, 4, 4, 3);
         let t = NetworkTrace { model: "m".into(), layers: vec![l0, l1], output: out };
-        assert_eq!(t.total_activations(), 48 + 32);
         assert_eq!(t.omap(0).as_slice()[0], 2);
         assert_eq!(t.omap(1).as_slice()[0], 3);
         assert!(t.total_macs() > 0);

@@ -464,12 +464,6 @@ pub fn write_json_response_conn(
     writer.flush()
 }
 
-/// Writes one JSON response that closes the connection — the one-shot
-/// protocol, kept for shed/error paths and compatibility.
-pub fn write_json_response(writer: &mut impl Write, status: u16, body: &str) -> io::Result<()> {
-    write_json_response_conn(writer, status, body, false)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -819,7 +813,7 @@ mod tests {
     #[test]
     fn response_framing_is_exact() {
         let mut out = Vec::new();
-        write_json_response(&mut out, 503, "{\"error\":\"busy\"}").unwrap();
+        write_json_response_conn(&mut out, 503, "{\"error\":\"busy\"}", false).unwrap();
         let text = String::from_utf8(out).unwrap();
         assert!(text.starts_with("HTTP/1.1 503 Service Unavailable\r\n"));
         assert!(text.contains("Content-Length: 16\r\n"));

@@ -11,10 +11,9 @@
 //! the end-to-end tests assert.
 
 use diffy_core::accelerator::{EvalOptions, NetworkResult, SchemeChoice};
-use diffy_core::artifact::{layer_cycles_to_json, layer_to_json};
-use diffy_core::json::JsonValue;
+use diffy_core::artifact::{layer_cycles_to_json, payload_members};
+use diffy_core::json::{parse, JsonValue};
 use diffy_core::runner::{VideoSpec, WorkloadOptions, HD_PIXELS};
-use diffy_encoding::StorageScheme;
 use diffy_imaging::datasets::DatasetId;
 use diffy_imaging::scenes::SceneKind;
 use diffy_memsys::{MemoryNode, MemorySystem};
@@ -66,7 +65,7 @@ impl EvalRequest {
         let dataset = parse_dataset(required_str(v, "dataset")?)?;
         // Range-check in u64 *before* narrowing to usize: `as usize`
         // truncates on 32-bit targets, so a huge value could wrap into
-        // the valid range and evaluate the wrong sample/resolution.
+        // the valid range and evaluate the wrong sample.
         let sample_u64 = optional_u64(v, "sample")?.unwrap_or(0);
         if sample_u64 >= dataset.samples() as u64 {
             return Err(format!(
@@ -74,36 +73,15 @@ impl EvalRequest {
                 dataset.samples()
             ));
         }
-        let sample = sample_u64 as usize; // < samples(): usize-exact
-        let resolution_u64 = optional_u64(v, "resolution")?.unwrap_or(64);
-        if !(MIN_RESOLUTION as u64..=MAX_RESOLUTION as u64).contains(&resolution_u64) {
-            return Err(format!(
-                "resolution {resolution_u64} out of range [{MIN_RESOLUTION}, {MAX_RESOLUTION}]"
-            ));
-        }
-        let resolution = resolution_u64 as usize; // ≤ MAX_RESOLUTION: usize-exact
-        let seed = optional_u64(v, "seed")?.unwrap_or(1);
-        let arch = match v.get("arch") {
-            None => Architecture::Diffy,
-            Some(a) => parse_arch(a.as_str().ok_or("arch must be a string")?)?,
-        };
-        let scheme = match v.get("scheme") {
-            None => SchemeChoice::Scheme(StorageScheme::delta_d(16)),
-            Some(s) => parse_scheme(s.as_str().ok_or("scheme must be a string")?)?,
-        };
-        let memory = match v.get("memory") {
-            None => MemoryNode::Ddr4_3200,
-            Some(m) => parse_memory(m.as_str().ok_or("memory must be a string")?)?,
-        };
         Ok(EvalRequest {
             model,
             dataset,
-            sample,
-            resolution,
-            seed,
-            arch,
-            scheme,
-            memory,
+            sample: sample_u64 as usize, // < samples(): usize-exact
+            resolution: resolution(v)?,
+            seed: optional_u64(v, "seed")?.unwrap_or(WorkloadOptions::DEFAULT.seed),
+            arch: optional_str(v, "arch")?.map_or(Ok(Architecture::DEFAULT), parse_arch)?,
+            scheme: optional_str(v, "scheme")?.map_or(Ok(SchemeChoice::DEFAULT), parse_scheme)?,
+            memory: optional_str(v, "memory")?.map_or(Ok(MemoryNode::DEFAULT), parse_memory)?,
             deadline_ms: optional_u64(v, "deadline_ms")?,
             test_sleep_ms: optional_u64(v, "test_sleep_ms")?,
         })
@@ -111,7 +89,7 @@ impl EvalRequest {
 
     /// The workload options this request traces under.
     pub fn workload(&self) -> WorkloadOptions {
-        WorkloadOptions { resolution: self.resolution, samples_per_dataset: 1, seed: self.seed }
+        WorkloadOptions { resolution: self.resolution, seed: self.seed, ..WorkloadOptions::DEFAULT }
     }
 
     /// The evaluation options this request prices under (Table IV
@@ -142,85 +120,109 @@ fn optional_u64(v: &JsonValue, key: &str) -> Result<Option<u64>, String> {
     }
 }
 
-/// Parses a model name (case-insensitive Table I spelling).
-pub fn parse_model(name: &str) -> Result<CiModel, String> {
-    CiModel::ALL
-        .into_iter()
-        .find(|m| m.name().eq_ignore_ascii_case(name))
-        .ok_or_else(|| format!("unknown model `{name}` (DnCNN/FFDNet/IRCNN/JointNet/VDSR)"))
+fn optional_str<'a>(v: &'a JsonValue, key: &str) -> Result<Option<&'a str>, String> {
+    match v.get(key) {
+        None => Ok(None),
+        Some(s) => s.as_str().map(Some).ok_or_else(|| format!("{key} must be a string")),
+    }
 }
 
-/// Parses a dataset name (case-insensitive Table II spelling).
-pub fn parse_dataset(name: &str) -> Result<DatasetId, String> {
-    DatasetId::ALL
-        .into_iter()
-        .find(|d| d.name().eq_ignore_ascii_case(name))
-        .ok_or_else(|| {
-            let all: Vec<&str> = DatasetId::ALL.iter().map(|d| d.name()).collect();
-            format!("unknown dataset `{name}` ({})", all.join("/"))
-        })
+/// The optional `resolution` field, defaulted and range-checked in u64
+/// *before* narrowing to usize: `as usize` truncates on 32-bit targets,
+/// so a huge value could wrap into the valid range.
+fn resolution(v: &JsonValue) -> Result<usize, String> {
+    let r = optional_u64(v, "resolution")?.unwrap_or(WorkloadOptions::DEFAULT.resolution as u64);
+    if !(MIN_RESOLUTION as u64..=MAX_RESOLUTION as u64).contains(&r) {
+        return Err(format!("resolution {r} out of range [{MIN_RESOLUTION}, {MAX_RESOLUTION}]"));
+    }
+    Ok(r as usize) // ≤ MAX_RESOLUTION: usize-exact
 }
 
-/// Parses an architecture name (case-insensitive).
-pub fn parse_arch(name: &str) -> Result<Architecture, String> {
-    Architecture::ALL
-        .into_iter()
-        .find(|a| a.name().eq_ignore_ascii_case(name))
-        .ok_or_else(|| format!("unknown arch `{name}` (VAA/PRA/Diffy/SCNN)"))
+/// Decodes a request body: parses `text` as JSON and validates it with
+/// `from_json`. Every route and session handler decodes through here, so
+/// a malformed body always answers `bad JSON: …`.
+pub(crate) fn decode<T>(
+    text: &str,
+    from_json: fn(&JsonValue) -> Result<T, String>,
+) -> Result<T, String> {
+    from_json(&parse(text).map_err(|e| format!("bad JSON: {e}"))?)
 }
 
-/// Parses a storage-scheme choice (the CLI's `--scheme` vocabulary).
-pub fn parse_scheme(name: &str) -> Result<SchemeChoice, String> {
-    Ok(match name {
-        "DeltaD16" => SchemeChoice::Scheme(StorageScheme::delta_d(16)),
-        "NoCompression" => SchemeChoice::Scheme(StorageScheme::NoCompression),
-        "Profiled" => SchemeChoice::Profiled { quantile: 0.999 },
-        "RawD16" => SchemeChoice::Scheme(StorageScheme::raw_d(16)),
-        "Ideal" => SchemeChoice::Ideal,
-        other => {
-            return Err(format!(
-                "unknown scheme `{other}` (NoCompression/Profiled/RawD16/DeltaD16/Ideal)"
-            ))
+/// Finds `name` among a type's `(name, value)` list, ignoring ASCII case.
+/// A match allocates nothing; only a miss builds the error, which lists
+/// every accepted name.
+fn lookup<T>(
+    what: &str,
+    name: &str,
+    list: impl IntoIterator<Item = (&'static str, T)> + Clone,
+) -> Result<T, String> {
+    match list.clone().into_iter().find(|(n, _)| n.eq_ignore_ascii_case(name)) {
+        Some((_, value)) => Ok(value),
+        None => {
+            let names: Vec<&str> = list.into_iter().map(|(n, _)| n).collect();
+            Err(format!("unknown {what} `{name}` ({})", names.join("/")))
         }
-    })
+    }
 }
 
-/// Parses a memory-node name (the CLI's `--memory` vocabulary).
+/// Parses a model name (Table I spelling, any case).
+pub fn parse_model(name: &str) -> Result<CiModel, String> {
+    lookup("model", name, CiModel::ALL.map(|m| (m.name(), m)))
+}
+
+/// Parses a dataset name (Table II spelling, any case).
+pub fn parse_dataset(name: &str) -> Result<DatasetId, String> {
+    lookup("dataset", name, DatasetId::ALL.map(|d| (d.name(), d)))
+}
+
+/// Parses an architecture name (any case).
+pub fn parse_arch(name: &str) -> Result<Architecture, String> {
+    lookup("arch", name, Architecture::ALL.map(|a| (a.name(), a)))
+}
+
+/// Parses a storage-scheme choice (any case).
+pub fn parse_scheme(name: &str) -> Result<SchemeChoice, String> {
+    lookup("scheme", name, SchemeChoice::NAMED)
+}
+
+/// Parses a memory-node name (any case).
 pub fn parse_memory(name: &str) -> Result<MemoryNode, String> {
-    MemoryNode::ALL
-        .into_iter()
-        .find(|m| m.name() == name)
-        .ok_or_else(|| format!("unknown memory node `{name}`"))
+    lookup("memory node", name, MemoryNode::ALL.map(|m| (m.name(), m)))
 }
 
-/// Serializes a [`NetworkResult`] with full fidelity: the same per-layer
-/// compute/traffic/timing counters the runner produces, plus the derived
+/// Parses a scene name (any case).
+fn parse_scene(name: &str) -> Result<SceneKind, String> {
+    lookup("scene", name, SceneKind::ALL.map(|k| (k.name(), k)))
+}
+
+/// Parses a temporal mode: its wire name or its §V label, any case.
+fn parse_mode(name: &str) -> Result<TemporalMode, String> {
+    let names = TemporalMode::ALL.into_iter().flat_map(|m| [(m.name(), m), (m.label(), m)]);
+    lookup("mode", name, names)
+}
+
+/// Serializes a [`NetworkResult`] with full fidelity: the artifact
+/// payload's members (header and per-layer counters) plus the derived
 /// totals the CLI prints. `source_pixels` drives the HD FPS projection.
 ///
 /// Deterministic: equal results (and pixel counts) serialize to equal
 /// strings, so "served response == direct evaluation" can be asserted
 /// bytewise.
 pub fn result_to_json(result: &NetworkResult, source_pixels: u64) -> JsonValue {
-    JsonValue::object(vec![
-        ("model", JsonValue::from(result.model.as_str())),
-        ("arch", JsonValue::from(result.arch)),
-        ("scheme", JsonValue::from(result.scheme.as_str())),
-        ("frequency_ghz", JsonValue::from(result.frequency_ghz)),
-        ("source_pixels", source_pixels.into()),
-        ("layers", JsonValue::Array(result.layers.iter().map(layer_to_json).collect())),
-        (
-            "totals",
-            JsonValue::object(vec![
-                ("total_cycles", result.total_cycles().into()),
-                ("compute_cycles", result.compute_cycles().into()),
-                ("stall_cycles", result.stall_cycles().into()),
-                ("total_traffic_bytes", result.total_traffic_bytes().into()),
-                ("activation_traffic_bytes", result.activation_traffic_bytes().into()),
-                ("fps", JsonValue::from(result.fps())),
-                ("hd_fps", JsonValue::from(result.fps_scaled(source_pixels, HD_PIXELS))),
-            ]),
-        ),
-    ])
+    let mut members = payload_members(result, source_pixels);
+    members.push((
+        "totals",
+        JsonValue::object(vec![
+            ("total_cycles", result.total_cycles().into()),
+            ("compute_cycles", result.compute_cycles().into()),
+            ("stall_cycles", result.stall_cycles().into()),
+            ("total_traffic_bytes", result.total_traffic_bytes().into()),
+            ("activation_traffic_bytes", result.activation_traffic_bytes().into()),
+            ("fps", JsonValue::from(result.fps())),
+            ("hd_fps", JsonValue::from(result.fps_scaled(source_pixels, HD_PIXELS))),
+        ]),
+    ));
+    JsonValue::object(members)
 }
 
 /// Largest accepted streaming-session frame horizon. The horizon is
@@ -230,6 +232,10 @@ pub fn result_to_json(result: &NetworkResult, source_pixels: u64) -> JsonValue {
 pub const MAX_SESSION_FRAMES: usize = 64;
 /// Largest accepted per-frame camera pan, in pixels.
 pub const MAX_PAN_PX: usize = 32;
+/// Frame horizon of a session that names none.
+const DEFAULT_SESSION_FRAMES: usize = 8;
+/// Per-frame camera pan of a session that names none, in pixels.
+const DEFAULT_PAN_PX: usize = 1;
 
 /// One parsed `POST /session` body: the identity of a streaming video
 /// session — which synthetic stream to run and how to exploit the
@@ -261,21 +267,13 @@ impl SessionRequest {
             return Err("request body must be a JSON object".to_string());
         }
         let model = parse_model(required_str(v, "model")?)?;
-        let scene = match v.get("scene") {
-            None => SceneKind::City,
-            Some(s) => parse_scene(s.as_str().ok_or("scene must be a string")?)?,
-        };
-        let resolution_u64 = optional_u64(v, "resolution")?.unwrap_or(64);
-        if !(MIN_RESOLUTION as u64..=MAX_RESOLUTION as u64).contains(&resolution_u64) {
-            return Err(format!(
-                "resolution {resolution_u64} out of range [{MIN_RESOLUTION}, {MAX_RESOLUTION}]"
-            ));
-        }
-        let frames_u64 = optional_u64(v, "frames")?.unwrap_or(8);
+        let scene = optional_str(v, "scene")?.map_or(Ok(SceneKind::City), parse_scene)?;
+        let resolution = resolution(v)?;
+        let frames_u64 = optional_u64(v, "frames")?.unwrap_or(DEFAULT_SESSION_FRAMES as u64);
         if !(1..=MAX_SESSION_FRAMES as u64).contains(&frames_u64) {
             return Err(format!("frames {frames_u64} out of range [1, {MAX_SESSION_FRAMES}]"));
         }
-        let pan_u64 = optional_u64(v, "pan_px")?.unwrap_or(1);
+        let pan_u64 = optional_u64(v, "pan_px")?.unwrap_or(DEFAULT_PAN_PX as u64);
         if pan_u64 > MAX_PAN_PX as u64 {
             return Err(format!("pan_px {pan_u64} out of range [0, {MAX_PAN_PX}]"));
         }
@@ -292,20 +290,15 @@ impl SessionRequest {
                 f as f32
             }
         };
-        let seed = optional_u64(v, "seed")?.unwrap_or(1);
-        let mode = match v.get("mode") {
-            None => TemporalMode::SpatioTemporal,
-            Some(m) => parse_temporal_mode(m.as_str().ok_or("mode must be a string")?)?,
-        };
         Ok(SessionRequest {
             model,
             scene,
-            resolution: resolution_u64 as usize, // range-checked above
-            frames: frames_u64 as usize,
+            resolution,
+            frames: frames_u64 as usize, // range-checked above
             pan_px: pan_u64 as usize,
             noise,
-            seed,
-            mode,
+            seed: optional_u64(v, "seed")?.unwrap_or(WorkloadOptions::DEFAULT.seed),
+            mode: optional_str(v, "mode")?.map_or(Ok(TemporalMode::SpatioTemporal), parse_mode)?,
         })
     }
 
@@ -348,43 +341,6 @@ impl FrameRequest {
             resolution: optional_u64(v, "resolution")?,
             frame: optional_u64(v, "frame")?,
         })
-    }
-}
-
-/// Parses a scene-kind name (case-insensitive).
-pub fn parse_scene(name: &str) -> Result<SceneKind, String> {
-    match name.to_ascii_lowercase().as_str() {
-        "nature" => Ok(SceneKind::Nature),
-        "city" => Ok(SceneKind::City),
-        "texture" => Ok(SceneKind::Texture),
-        other => Err(format!("unknown scene `{other}` (Nature/City/Texture)")),
-    }
-}
-
-/// Parses a temporal-mode name (case-insensitive; the paper's §V
-/// architecture labels are accepted as aliases).
-pub fn parse_temporal_mode(name: &str) -> Result<TemporalMode, String> {
-    match name.to_ascii_lowercase().as_str() {
-        "temporal" | "diffy-t" => Ok(TemporalMode::TemporalOnly),
-        "spatiotemporal" | "diffy-st" => Ok(TemporalMode::SpatioTemporal),
-        other => Err(format!("unknown mode `{other}` (temporal/spatiotemporal)")),
-    }
-}
-
-/// The wire name of a scene kind.
-pub fn scene_name(scene: SceneKind) -> &'static str {
-    match scene {
-        SceneKind::Nature => "Nature",
-        SceneKind::City => "City",
-        SceneKind::Texture => "Texture",
-    }
-}
-
-/// The wire name of a temporal mode.
-pub fn temporal_mode_name(mode: TemporalMode) -> &'static str {
-    match mode {
-        TemporalMode::TemporalOnly => "temporal",
-        TemporalMode::SpatioTemporal => "spatiotemporal",
     }
 }
 
@@ -495,8 +451,32 @@ fn merge_objects(base: Option<&JsonValue>, overrides: &JsonValue) -> JsonValue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use diffy_core::json::parse;
     use diffy_core::runner::ci_trace_bundle;
+    use diffy_encoding::StorageScheme;
+
+    #[test]
+    fn every_name_parses_in_any_case_and_a_miss_lists_them_all() {
+        fn check<T: Copy + PartialEq + std::fmt::Debug>(
+            list: &[(&str, T)],
+            parse: fn(&str) -> Result<T, String>,
+        ) {
+            for &(name, value) in list {
+                for spelling in [name.to_string(), name.to_lowercase(), name.to_uppercase()] {
+                    assert_eq!(parse(&spelling), Ok(value), "{spelling}");
+                }
+            }
+            let names: Vec<&str> = list.iter().map(|&(n, _)| n).collect();
+            let err = parse("nope").unwrap_err();
+            assert!(err.ends_with(&format!(" `nope` ({})", names.join("/"))), "{err}");
+        }
+        check(&CiModel::ALL.map(|m| (m.name(), m)), parse_model);
+        check(&DatasetId::ALL.map(|d| (d.name(), d)), parse_dataset);
+        check(&Architecture::ALL.map(|a| (a.name(), a)), parse_arch);
+        check(&SchemeChoice::NAMED, parse_scheme);
+        check(&MemoryNode::ALL.map(|m| (m.name(), m)), parse_memory);
+        check(&SceneKind::ALL.map(|k| (k.name(), k)), parse_scene);
+        check(&TemporalMode::ALL.map(|m| [(m.name(), m), (m.label(), m)]).concat(), parse_mode);
+    }
 
     #[test]
     fn minimal_request_gets_defaults() {

@@ -99,10 +99,10 @@ use crate::http::{
 };
 use crate::metrics::{CloseReason, Metrics, Stage};
 use crate::poller::{self, Poller, FIRST_CONN_TOKEN, LISTENER_TOKEN};
-use crate::protocol::{error_body, result_to_json, BatchRequest, EvalRequest};
+use crate::protocol::{self, error_body, result_to_json, BatchRequest, EvalRequest};
 use crate::session::{self, SessionStore};
 use diffy_core::artifact::{DiskTier, EvalArtifact};
-use diffy_core::json::{parse as parse_json, JsonValue};
+use diffy_core::json::JsonValue;
 use diffy_core::parallel::{run_jobs, Jobs};
 use diffy_core::runner::SweepCache;
 use diffy_core::trace;
@@ -1256,7 +1256,7 @@ fn utf8(body: &[u8]) -> Result<&str, String> {
 fn json<T>(
     from_json: fn(&JsonValue) -> Result<T, String>,
 ) -> impl FnOnce(&[u8]) -> Result<T, String> {
-    move |body| from_json(&parse_json(utf8(body)?).map_err(|e| format!("bad JSON: {e}"))?)
+    move |body| protocol::decode(utf8(body)?, from_json)
 }
 
 /// Prices one decoded request within its deadline — `deadline_ms`,

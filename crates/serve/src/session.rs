@@ -2,12 +2,13 @@
 //! subsystem (paper §V, ROADMAP open item 3).
 //!
 //! A session pins the identity of one synthetic video stream (a
-//! [`VideoSpec`] plus a [`TemporalMode`]) and retains the previous
-//! frame's activation traces between requests, so each `POST
+//! [`VideoSpec`] plus a [`TemporalMode`]) and keeps only its position
+//! between requests: the next frame and a cumulative ledger. Each `POST
 //! /session/{id}/frame` evaluates only the cross-frame *delta* through
 //! `diffy_sim::temporal_network` — the déjà-vu-free way to serve video —
-//! while a per-frame ledger accumulates how much the temporal engine
-//! saved against full re-evaluation.
+//! drawing both frames' traces from the shared `SweepCache`, while the
+//! ledger accumulates how much the temporal engine saved against full
+//! re-evaluation.
 //!
 //! The [`SessionStore`] is the stateful core: a mutex-guarded id map
 //! with the same LRU discipline as a bounded `diffy_core::parallel::Cache`
@@ -25,11 +26,9 @@
 //! obeys a conservation law the metrics tests close:
 //! `created == closed + expired + evicted + open`.
 
-use crate::protocol::{
-    cycles_to_json, error_body, scene_name, temporal_mode_name, FrameRequest, SessionRequest,
-};
-use diffy_core::json::{parse, JsonValue};
-use diffy_core::runner::{SweepCache, TraceBundle, VideoSpec};
+use crate::protocol::{cycles_to_json, decode, error_body, FrameRequest, SessionRequest};
+use diffy_core::json::JsonValue;
+use diffy_core::runner::{SweepCache, VideoSpec};
 use diffy_sim::TemporalMode;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -47,13 +46,10 @@ pub struct Session {
     state: Mutex<SessionState>,
 }
 
-/// The retained cross-frame state: what makes frame *t* cheap.
+/// A session's position in its stream: no pixels and no traces.
 struct SessionState {
     /// Index of the next frame to serve.
     next_frame: usize,
-    /// Frame *t−1*'s activation traces (layer imaps), the reference the
-    /// temporal delta is taken against. `None` until frame 0 is served.
-    prev: Option<Arc<TraceBundle>>,
     /// Cumulative cycles actually served (frame 0 full + deltas after).
     served_cycles: u64,
     /// Cumulative cycles full re-evaluation of every frame would cost.
@@ -192,7 +188,6 @@ impl SessionStore {
             mode,
             state: Mutex::new(SessionState {
                 next_frame: 0,
-                prev: None,
                 served_cycles: 0,
                 baseline_cycles: 0,
             }),
@@ -288,11 +283,7 @@ fn parse_id(id: &str) -> Option<u64> {
 /// admits the session, and returns its id plus the effective
 /// configuration (defaults resolved).
 pub fn handle_create(store: &SessionStore, body: &str, now: Instant) -> (u16, String) {
-    let parsed = match parse(body) {
-        Ok(v) => v,
-        Err(e) => return (400, error_body(&format!("invalid JSON: {e}"))),
-    };
-    let req = match SessionRequest::from_json(&parsed) {
+    let req = match decode(body, SessionRequest::from_json) {
         Ok(r) => r,
         Err(e) => return (400, error_body(&e)),
     };
@@ -300,20 +291,20 @@ pub fn handle_create(store: &SessionStore, body: &str, now: Instant) -> (u16, St
     let body = JsonValue::object(vec![
         ("session", JsonValue::from(session.id.as_str())),
         ("model", JsonValue::from(req.model.name())),
-        ("scene", JsonValue::from(scene_name(req.scene))),
+        ("scene", JsonValue::from(req.scene.name())),
         ("resolution", req.resolution.into()),
         ("frames", req.frames.into()),
         ("pan_px", req.pan_px.into()),
         ("noise", JsonValue::from(req.noise as f64)),
         ("seed", req.seed.into()),
-        ("mode", JsonValue::from(temporal_mode_name(req.mode))),
+        ("mode", JsonValue::from(req.mode.name())),
     ])
     .to_json();
     (200, body)
 }
 
 /// Handles `POST /session/{id}/frame`: evaluates the session's next
-/// frame against its retained previous frame and advances the state.
+/// frame against the frame before it and advances the state.
 ///
 /// Frame 0 is the full spatial evaluation (nothing to difference
 /// against); every later frame runs the temporal engine over the
@@ -332,11 +323,7 @@ pub fn handle_frame(
         return (404, error_body(&format!("unknown or expired session `{id}`")));
     };
     let effective = if body.trim().is_empty() { "{}" } else { body };
-    let parsed = match parse(effective) {
-        Ok(v) => v,
-        Err(e) => return (400, error_body(&format!("invalid JSON: {e}"))),
-    };
-    let req = match FrameRequest::from_json(&parsed) {
+    let req = match decode(effective, FrameRequest::from_json) {
         Ok(r) => r,
         Err(e) => return (400, error_body(&e)),
     };
@@ -370,15 +357,13 @@ pub fn handle_frame(
             );
         }
     }
-    let cur = cache.video_frame(spec, frame);
-    let cycles = match &state.prev {
-        None => cache.video_frame_baseline(spec, frame),
-        Some(prev) => cache.video_frame_temporal(spec, frame, session.mode, prev),
-    };
     let baseline = cache.video_frame_baseline(spec, frame);
+    let cycles = match frame {
+        0 => Arc::clone(&baseline),
+        _ => cache.video_frame_temporal(spec, frame, session.mode),
+    };
     state.served_cycles += cycles.total_cycles();
     state.baseline_cycles += baseline.total_cycles();
-    state.prev = Some(cur);
     state.next_frame = frame + 1;
     let (served_cum, baseline_cum, frames_served) =
         (state.served_cycles, state.baseline_cycles, state.next_frame);
@@ -429,6 +414,7 @@ pub fn handle_close(store: &SessionStore, id: &str) -> (u16, String) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use diffy_core::json::parse;
     use diffy_imaging::scenes::SceneKind;
     use diffy_models::CiModel;
     use diffy_sim::{temporal_network, AcceleratorConfig};
@@ -543,13 +529,71 @@ mod tests {
     }
 
     #[test]
+    fn frames_match_direct_evaluation_when_the_cache_evicts_the_previous_frame() {
+        // A one-trace cache holds frame t−1's trace no longer than it
+        // takes to build frame t's, and the session holds no trace: each
+        // temporal frame must rebuild t−1 and still match direct
+        // evaluation.
+        let s = store();
+        let cache = SweepCache::bounded(1, 1);
+        let now = Instant::now();
+        let spec = test_spec();
+        let (_, created) = handle_create(
+            &s,
+            r#"{"model": "IRCNN", "scene": "City", "resolution": 16, "frames": 3,
+                "pan_px": 1, "noise": 0, "seed": 5, "mode": "temporal"}"#,
+            now,
+        );
+        let id = parse(&created).unwrap().get("session").unwrap().as_str().unwrap().to_string();
+        let cfg = AcceleratorConfig::table4();
+        let fresh: Vec<_> =
+            (0..3).map(|f| diffy_core::runner::video_frame_bundle(&spec, f)).collect();
+        for f in 0..3 {
+            let (status, body) = handle_frame(&s, &cache, &id, "", now);
+            assert_eq!(status, 200, "{body}");
+            let expect = match f {
+                0 => diffy_sim::term_serial_network(
+                    &fresh[0].trace,
+                    &cfg,
+                    diffy_sim::ValueMode::Differential,
+                ),
+                _ => temporal_network(
+                    &fresh[f - 1].trace,
+                    &fresh[f].trace,
+                    &cfg,
+                    TemporalMode::TemporalOnly,
+                ),
+            };
+            let v = parse(&body).unwrap();
+            assert_eq!(v.get("result").unwrap().to_json(), cycles_to_json(&expect).to_json());
+            assert!(cache.stats().cached_video_frames <= 1);
+        }
+    }
+
+    #[test]
+    fn malformed_bodies_answer_bad_json() {
+        let s = store();
+        let cache = SweepCache::new();
+        let now = Instant::now();
+        let (status, b) = handle_create(&s, "{", now);
+        assert_eq!(status, 400);
+        assert!(b.contains("bad JSON: "), "{b}");
+        let (_, created) = handle_create(&s, r#"{"model": "IRCNN", "resolution": 16}"#, now);
+        let id = parse(&created).unwrap().get("session").unwrap().as_str().unwrap().to_string();
+        let (status, b) = handle_frame(&s, &cache, &id, "{\"frame\":", now);
+        assert_eq!(status, 400);
+        assert!(b.contains("bad JSON: "), "{b}");
+        assert_eq!(s.stats().frames, 0, "a rejected frame must not advance the session");
+    }
+
+    #[test]
     fn handler_rejections_are_reasoned_4xx() {
         let s = store();
         let cache = SweepCache::new();
         let now = Instant::now();
         // Create rejections.
         for (body, needle) in [
-            ("{", "invalid JSON"),
+            ("{", "bad JSON"),
             ("{}", "missing required field `model`"),
             (r#"{"model": "IRCNN", "frames": 0}"#, "out of range"),
         ] {

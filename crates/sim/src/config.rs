@@ -62,16 +62,6 @@ impl AcceleratorConfig {
     pub fn peak_macs_per_cycle(&self) -> u64 {
         (self.tiles * self.filters_per_tile * self.lanes) as u64
     }
-
-    /// Total filter lanes across the accelerator.
-    pub fn total_filters(&self) -> usize {
-        self.tiles * self.filters_per_tile
-    }
-
-    /// Cycles per second.
-    pub fn cycles_per_second(&self) -> f64 {
-        self.frequency_ghz * 1e9
-    }
 }
 
 impl Default for AcceleratorConfig {
@@ -113,6 +103,9 @@ impl Architecture {
     pub const ALL: [Architecture; 4] =
         [Architecture::Vaa, Architecture::Pra, Architecture::Diffy, Architecture::Scnn];
 
+    /// The architecture a request or command prices unless it names one.
+    pub const DEFAULT: Architecture = Architecture::Diffy;
+
     /// Display name as used in the paper's figures.
     pub fn name(&self) -> &'static str {
         match self {
@@ -138,8 +131,6 @@ mod tests {
     fn table4_is_one_kilo_mac() {
         let c = AcceleratorConfig::table4();
         assert_eq!(c.peak_macs_per_cycle(), 1024);
-        assert_eq!(c.total_filters(), 64);
-        assert_eq!(c.cycles_per_second(), 1e9);
     }
 
     #[test]

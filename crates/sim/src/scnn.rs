@@ -12,6 +12,7 @@
 //! multipliers — 64 PEs × 4×4 arrays — matching the 1K-MAC Diffy
 //! configuration of Table IV).
 
+use crate::config::Architecture;
 use crate::report::{LayerCycles, NetworkCycles};
 use diffy_models::{LayerTrace, NetworkTrace};
 
@@ -81,7 +82,7 @@ pub fn scnn_layer(trace: &LayerTrace, cfg: &ScnnConfig) -> LayerCycles {
 /// Simulates every layer of a network trace on SCNN.
 pub fn scnn_network(trace: &NetworkTrace, cfg: &ScnnConfig) -> NetworkCycles {
     NetworkCycles {
-        arch: "SCNN",
+        arch: Architecture::Scnn.name(),
         layers: trace.layers.iter().map(|l| scnn_layer(l, cfg)).collect(),
     }
 }

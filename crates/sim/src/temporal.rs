@@ -27,6 +27,28 @@ pub enum TemporalMode {
     SpatioTemporal,
 }
 
+impl TemporalMode {
+    /// Both modes.
+    pub const ALL: [TemporalMode; 2] = [TemporalMode::TemporalOnly, TemporalMode::SpatioTemporal];
+
+    /// The mode's wire name in session requests.
+    pub fn name(&self) -> &'static str {
+        match self {
+            TemporalMode::TemporalOnly => "temporal",
+            TemporalMode::SpatioTemporal => "spatiotemporal",
+        }
+    }
+
+    /// The §V architecture label: what a result of this mode reports as
+    /// its architecture.
+    pub fn label(&self) -> &'static str {
+        match self {
+            TemporalMode::TemporalOnly => "Diffy-T",
+            TemporalMode::SpatioTemporal => "Diffy-ST",
+        }
+    }
+}
+
 /// The wrapped element-wise temporal delta of two imaps.
 ///
 /// # Panics
@@ -83,13 +105,7 @@ pub fn temporal_network(
             term_serial_layer(&fake, cfg, value_mode)
         })
         .collect();
-    NetworkCycles {
-        arch: match mode {
-            TemporalMode::TemporalOnly => "Diffy-T",
-            TemporalMode::SpatioTemporal => "Diffy-ST",
-        },
-        layers,
-    }
+    NetworkCycles { arch: mode.label(), layers }
 }
 
 #[cfg(test)]

@@ -61,7 +61,7 @@
 //! closes each straddling pallet at the maximum of both sides. The
 //! Stripes and potential kernels walk the same bands and add them up.
 
-use crate::config::AcceleratorConfig;
+use crate::config::{AcceleratorConfig, Architecture};
 use crate::report::{LayerCycles, NetworkCycles};
 use crate::scratch;
 use diffy_encoding::booth_terms;
@@ -1022,9 +1022,10 @@ where
 {
     NetworkCycles {
         arch: match mode {
-            ValueMode::Raw => "PRA",
-            ValueMode::Differential => "Diffy",
-        },
+            ValueMode::Raw => Architecture::Pra,
+            ValueMode::Differential => Architecture::Diffy,
+        }
+        .name(),
         layers: trace
             .layers
             .iter()

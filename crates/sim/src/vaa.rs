@@ -6,7 +6,7 @@
 //! depends only on the layer's dimensions — never on the values — which is
 //! exactly what makes it the "déjà vu" baseline the paper improves on.
 
-use crate::config::AcceleratorConfig;
+use crate::config::{AcceleratorConfig, Architecture};
 use crate::report::{LayerCycles, NetworkCycles};
 use diffy_models::{LayerTrace, NetworkTrace};
 
@@ -39,7 +39,7 @@ pub fn vaa_layer(trace: &LayerTrace, cfg: &AcceleratorConfig) -> LayerCycles {
 /// Simulates every layer of a network trace on VAA.
 pub fn vaa_network(trace: &NetworkTrace, cfg: &AcceleratorConfig) -> NetworkCycles {
     NetworkCycles {
-        arch: "VAA",
+        arch: Architecture::Vaa.name(),
         layers: trace.layers.iter().map(|l| vaa_layer(l, cfg)).collect(),
     }
 }

@@ -121,23 +121,6 @@ pub fn space_to_depth(t: &Tensor3<i16>, factor: usize) -> Tensor3<i16> {
     out
 }
 
-/// Elementwise saturating addition of two tensors of identical shape
-/// (residual connections, e.g. VDSR adds the predicted residual to the
-/// interpolated input).
-///
-/// # Panics
-///
-/// Panics if the shapes differ.
-pub fn add_saturating(a: &Tensor3<i16>, b: &Tensor3<i16>) -> Tensor3<i16> {
-    assert_eq!(a.shape(), b.shape(), "shape mismatch in add");
-    let data = a
-        .iter()
-        .zip(b.iter())
-        .map(|(&x, &y)| x.saturating_add(y))
-        .collect();
-    Tensor3::from_vec(a.shape().c, a.shape().h, a.shape().w, data)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -205,12 +188,5 @@ mod tests {
     fn space_to_depth_checks_divisibility() {
         let t = Tensor3::<i16>::new(1, 3, 4);
         let _ = space_to_depth(&t, 2);
-    }
-
-    #[test]
-    fn add_saturating_saturates() {
-        let a = Tensor3::from_vec(1, 1, 2, vec![i16::MAX, 1]);
-        let b = Tensor3::from_vec(1, 1, 2, vec![1i16, 1]);
-        assert_eq!(add_saturating(&a, &b).as_slice(), &[i16::MAX, 2]);
     }
 }

@@ -95,11 +95,6 @@ impl Shape4 {
         ((k * self.c + c) * self.h + j) * self.w + i
     }
 
-    /// Shape of a single filter.
-    pub fn filter_shape(&self) -> Shape3 {
-        Shape3::new(self.c, self.h, self.w)
-    }
-
     /// The shape as a `(k, c, h, w)` tuple.
     pub fn as_tuple(&self) -> (usize, usize, usize, usize) {
         (self.k, self.c, self.h, self.w)

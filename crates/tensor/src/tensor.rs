@@ -64,11 +64,6 @@ impl<T> Tensor3<T> {
         &mut self.data
     }
 
-    /// Consumes the tensor, returning the backing storage.
-    pub fn into_vec(self) -> Vec<T> {
-        self.data
-    }
-
     /// Element at `(c, y, x)`.
     ///
     /// # Panics

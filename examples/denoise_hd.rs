@@ -10,7 +10,6 @@
 use diffy::core::accelerator::{EvalOptions, SchemeChoice};
 use diffy::core::runner::{ci_trace_bundle, WorkloadOptions, HD_PIXELS};
 use diffy::core::summary::{fmt_bytes, TextTable};
-use diffy::encoding::StorageScheme;
 use diffy::imaging::datasets::DatasetId;
 use diffy::models::CiModel;
 use diffy::sim::Architecture;
@@ -28,8 +27,8 @@ fn main() {
     let hd_scale = HD_PIXELS as f64 / bundle.source_pixels as f64;
     for arch in [Architecture::Vaa, Architecture::Pra, Architecture::Diffy] {
         for scheme in [
-            SchemeChoice::Scheme(StorageScheme::NoCompression),
-            SchemeChoice::Scheme(StorageScheme::delta_d(16)),
+            SchemeChoice::NO_COMPRESSION,
+            SchemeChoice::DELTA_D16,
         ] {
             let r = bundle.evaluate(&EvalOptions::new(arch, scheme));
             arch_table.row(vec![
@@ -46,7 +45,7 @@ fn main() {
     // Per-layer breakdown for Diffy + DeltaD16.
     let r = bundle.evaluate(&EvalOptions::new(
         Architecture::Diffy,
-        SchemeChoice::Scheme(StorageScheme::delta_d(16)),
+        SchemeChoice::DELTA_D16,
     ));
     let total = r.total_cycles() as f64;
     let mut layer_table =

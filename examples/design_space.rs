@@ -10,22 +10,17 @@ use diffy::core::accelerator::{EvalOptions, SchemeChoice};
 use diffy::core::runner::{ci_trace_bundle, WorkloadOptions, HD_PIXELS};
 use diffy::core::scaling::{fig18_memory_ladder, fps_at_pixels, min_realtime_config, FIG18_TILES};
 use diffy::core::summary::TextTable;
-use diffy::encoding::StorageScheme;
 use diffy::imaging::datasets::DatasetId;
-use diffy::models::CiModel;
 use diffy::sim::{AcceleratorConfig, Architecture};
 
 fn main() {
     let arg = std::env::args().nth(1).unwrap_or_else(|| "FFDNet".to_string());
-    let model = CiModel::ALL
-        .into_iter()
-        .find(|m| m.name().eq_ignore_ascii_case(&arg))
-        .unwrap_or_else(|| panic!("unknown model {arg}"));
+    let model = diffy::serve::protocol::parse_model(&arg).unwrap_or_else(|e| panic!("{e}"));
 
     let opts = WorkloadOptions { resolution: 96, samples_per_dataset: 1, seed: 1 };
     println!("Design space for {model} at HD, Diffy + DeltaD16:\n");
     let bundle = ci_trace_bundle(model, DatasetId::Hd33, 0, &opts);
-    let scheme = SchemeChoice::Scheme(StorageScheme::delta_d(16));
+    let scheme = SchemeChoice::DELTA_D16;
 
     let ladder = fig18_memory_ladder();
     let mut header = vec!["tiles \\ memory".to_string()];

@@ -9,15 +9,12 @@
 use diffy::core::summary::TextTable;
 use diffy::imaging::datasets::DatasetId;
 use diffy::models::float_ref::{correlation, run_network_f32};
-use diffy::models::{run_network, CiModel, NetworkWeights};
+use diffy::models::{run_network, NetworkWeights};
 use diffy::tensor::Quantizer;
 
 fn main() {
     let arg = std::env::args().nth(1).unwrap_or_else(|| "IRCNN".to_string());
-    let model = CiModel::ALL
-        .into_iter()
-        .find(|m| m.name().eq_ignore_ascii_case(&arg))
-        .unwrap_or_else(|| panic!("unknown model {arg}"));
+    let model = diffy::serve::protocol::parse_model(&arg).unwrap_or_else(|e| panic!("{e}"));
 
     let res = 48;
     println!("{model}: fixed-point vs float reference at {res}x{res}\n");

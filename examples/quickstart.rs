@@ -8,7 +8,6 @@
 use diffy::core::accelerator::{EvalOptions, SchemeChoice};
 use diffy::core::runner::{ci_trace_bundle, WorkloadOptions};
 use diffy::core::summary::{fmt_x, TextTable};
-use diffy::encoding::StorageScheme;
 use diffy::imaging::datasets::DatasetId;
 use diffy::models::CiModel;
 use diffy::sim::Architecture;
@@ -29,7 +28,7 @@ fn main() {
         bundle.trace.total_macs() as f64 / 1e6
     );
 
-    let scheme = SchemeChoice::Scheme(StorageScheme::delta_d(16));
+    let scheme = SchemeChoice::DELTA_D16;
     let mut table = TextTable::new(vec!["architecture", "cycles", "speedup vs VAA", "stall %"]);
     let vaa = bundle.evaluate(&EvalOptions::new(Architecture::Vaa, scheme));
     for arch in [Architecture::Vaa, Architecture::Pra, Architecture::Diffy] {

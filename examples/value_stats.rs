@@ -10,14 +10,10 @@ use diffy::core::summary::TextTable;
 use diffy::encoding::delta::delta_rows_wrapping;
 use diffy::encoding::terms::{stats_of_acts, TermStats};
 use diffy::imaging::datasets::DatasetId;
-use diffy::models::CiModel;
 
 fn main() {
     let arg = std::env::args().nth(1).unwrap_or_else(|| "DnCNN".to_string());
-    let model = CiModel::ALL
-        .into_iter()
-        .find(|m| m.name().eq_ignore_ascii_case(&arg))
-        .unwrap_or_else(|| panic!("unknown model {arg}; pick one of DnCNN/FFDNet/IRCNN/JointNet/VDSR"));
+    let model = diffy::serve::protocol::parse_model(&arg).unwrap_or_else(|e| panic!("{e}"));
 
     let opts = WorkloadOptions { resolution: 64, samples_per_dataset: 1, seed: 1 };
     let bundle = ci_trace_bundle(model, DatasetId::Kodak24, 0, &opts);

@@ -22,7 +22,7 @@ use diffy::encoding::delta::delta_rows_wrapping;
 use diffy::encoding::terms::stats_of_acts;
 use diffy::encoding::StorageScheme;
 use diffy::imaging::datasets::DatasetId;
-use diffy::memsys::MemorySystem;
+use diffy::memsys::{MemoryNode, MemorySystem};
 use diffy::models::CiModel;
 use diffy::serve::protocol;
 use diffy::sim::{AcceleratorConfig, Architecture};
@@ -102,7 +102,8 @@ commands:
 
 options:
   --res N           trace resolution (default 64)
-  --scheme S        NoCompression | Profiled | RawD16 | DeltaD16 (default DeltaD16)
+  --scheme S        NoCompression | Profiled | RawD16 | DeltaD16 | Ideal
+                    (default DeltaD16)
   --memory NODE     e.g. DDR4-3200, HBM2 (default DDR4-3200)
   --seed N          workload seed (default 1)
   --jobs N          worker threads for compare/sweep/report/serve (default:
@@ -144,6 +145,7 @@ precompute options:
   --res/--seed/--memory/--jobs as above; defaults match the serve protocol's
 
 models: DnCNN, FFDNet, IRCNN, JointNet, VDSR
+model, dataset, architecture, scheme and memory names ignore case
 unknown, repeated or value-less flags are errors";
 
 /// A command's arguments, plus a record of which ones its parsers read.
@@ -200,24 +202,25 @@ impl Args {
     }
 }
 
+/// The first positional argument that names a model; failing that, the
+/// protocol's error for the first positional argument.
 fn parse_model(args: &Args) -> Result<CiModel, String> {
-    args.items
-        .iter()
-        .filter(|a| !a.starts_with("--"))
+    let mut positional = args.items.iter().filter(|a| !a.starts_with("--"));
+    let first = positional.clone().next().ok_or("missing model (`diffy models` lists them)")?;
+    positional
         .find_map(|a| protocol::parse_model(a).ok())
-        .ok_or_else(|| "missing or unknown model (DnCNN/FFDNet/IRCNN/JointNet/VDSR)".to_string())
+        .map_or_else(|| protocol::parse_model(first), Ok)
 }
 
 fn parse_opts(args: &Args) -> Result<WorkloadOptions, String> {
-    let resolution = match args.flag("--res")? {
-        Some(v) => v.parse().map_err(|_| format!("bad --res {v}"))?,
-        None => 64,
-    };
-    let seed = match args.flag("--seed")? {
-        Some(v) => v.parse().map_err(|_| format!("bad --seed {v}"))?,
-        None => 1,
-    };
-    Ok(WorkloadOptions { resolution, samples_per_dataset: 1, seed })
+    let mut opts = WorkloadOptions::DEFAULT;
+    if let Some(v) = args.flag("--res")? {
+        opts.resolution = v.parse().map_err(|_| format!("bad --res {v}"))?;
+    }
+    if let Some(v) = args.flag("--seed")? {
+        opts.seed = v.parse().map_err(|_| format!("bad --seed {v}"))?;
+    }
+    Ok(opts)
 }
 
 fn parse_jobs(args: &Args) -> Result<Jobs, String> {
@@ -228,11 +231,12 @@ fn parse_jobs(args: &Args) -> Result<Jobs, String> {
 }
 
 fn parse_scheme(args: &Args) -> Result<SchemeChoice, String> {
-    protocol::parse_scheme(args.flag("--scheme")?.as_deref().unwrap_or("DeltaD16"))
+    args.flag("--scheme")?.map_or(Ok(SchemeChoice::DEFAULT), |s| protocol::parse_scheme(&s))
 }
 
 fn parse_memory(args: &Args) -> Result<MemorySystem, String> {
-    let node = protocol::parse_memory(args.flag("--memory")?.as_deref().unwrap_or("DDR4-3200"))?;
+    let node =
+        args.flag("--memory")?.map_or(Ok(MemoryNode::DEFAULT), |m| protocol::parse_memory(&m))?;
     Ok(MemorySystem::single(node))
 }
 
@@ -514,9 +518,9 @@ fn cmd_precompute(args: &Args) -> Result<(), String> {
     };
     let datasets = parse_list(args, "--datasets", protocol::parse_dataset)?;
     let archs = parse_list(args, "--archs", protocol::parse_arch)?
-        .unwrap_or_else(|| vec![Architecture::Diffy]);
+        .unwrap_or_else(|| vec![Architecture::DEFAULT]);
     let schemes = parse_list(args, "--schemes", protocol::parse_scheme)?
-        .unwrap_or_else(|| vec![SchemeChoice::Scheme(StorageScheme::delta_d(16))]);
+        .unwrap_or_else(|| vec![SchemeChoice::DEFAULT]);
     args.finish()?;
 
     // Enumerate the grid; resumability = skip keys whose artifact file

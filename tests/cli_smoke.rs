@@ -136,6 +136,34 @@ fn usage_mentions_serve() {
 }
 
 #[test]
+fn usage_names_every_protocol_model_and_scheme_and_the_defaults() {
+    // The usage text is a constant: this pins it to the names the
+    // protocol accepts and to the defaults the commands apply.
+    use diffy::core::accelerator::SchemeChoice;
+    use diffy::core::runner::WorkloadOptions;
+    let out = diffy(&["help"]);
+    assert!(out.status.success());
+    let text = stdout(&out);
+    for model in diffy::models::CiModel::ALL {
+        assert!(text.contains(model.name()), "missing model {model} in usage:\n{text}");
+    }
+    for (scheme, _) in SchemeChoice::NAMED {
+        assert!(text.contains(scheme), "missing scheme {scheme} in usage:\n{text}");
+    }
+    let workload = WorkloadOptions::DEFAULT;
+    let defaults = [
+        format!("--res N           trace resolution (default {})", workload.resolution),
+        format!("--seed N          workload seed (default {})", workload.seed),
+        format!("(default {})", SchemeChoice::DEFAULT.label()),
+        format!("(default {})", diffy::memsys::MemoryNode::DEFAULT),
+        format!("architectures (default {})", diffy::sim::Architecture::DEFAULT),
+    ];
+    for default in defaults {
+        assert!(text.contains(&default), "missing {default:?} in usage:\n{text}");
+    }
+}
+
+#[test]
 fn serve_flags_without_values_are_hard_errors() {
     for flag in [
         "--addr",
@@ -224,8 +252,8 @@ fn name_flags_take_every_protocol_name_and_nothing_else() {
         let out = diffy(&["compare", "IRCNN", "--res", "16", "--memory", node.name()]);
         assert!(out.status.success(), "--memory {node}: {}", stderr(&out));
     }
-    for scheme in ["NoCompression", "Profiled", "RawD16", "DeltaD16", "Ideal"] {
-        assert!(protocol::parse_scheme(scheme).is_ok(), "{scheme}");
+    for (scheme, choice) in diffy::core::accelerator::SchemeChoice::NAMED {
+        assert_eq!(protocol::parse_scheme(scheme), Ok(choice));
         let out = diffy(&["compare", "IRCNN", "--res", "16", "--scheme", scheme]);
         assert!(out.status.success(), "--scheme {scheme}: {}", stderr(&out));
     }
