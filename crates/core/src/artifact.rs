@@ -38,7 +38,7 @@
 
 use crate::accelerator::{EvalOptions, LayerResult, NetworkResult, SchemeChoice};
 use crate::json::{parse, JsonValue};
-use crate::runner::WorkloadOptions;
+use crate::runner::{WorkloadOptions, HD_PIXELS};
 use diffy_imaging::datasets::DatasetId;
 use diffy_memsys::overlap::LayerTiming;
 use diffy_memsys::traffic::LayerTraffic;
@@ -69,15 +69,33 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     acc
 }
 
-/// A complete, servable evaluation: the network result plus the traced
-/// source-pixel count (what FPS projections and the service response
-/// need alongside the result).
+/// A complete, servable evaluation: the network result, the traced
+/// source-pixel count (what FPS projections need alongside the result),
+/// and the served response body, rendered once by [`EvalArtifact::new`]
+/// so that every request for a cached result answers with stored bytes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EvalArtifact {
     /// The evaluation result.
     pub result: NetworkResult,
     /// Pixels of the source image the trace was prepared from.
     pub source_pixels: u64,
+    /// [`result_to_json`] of `result` and `source_pixels`, as text.
+    body: Box<str>,
+}
+
+impl EvalArtifact {
+    /// The artifact of `result`, traced from `source_pixels` pixels, with
+    /// its response body rendered.
+    pub fn new(result: NetworkResult, source_pixels: u64) -> Self {
+        let body = result_to_json(&result, source_pixels).to_json().into_boxed_str();
+        Self { result, source_pixels, body }
+    }
+
+    /// The served `/evaluate` body: [`result_to_json`] of the result,
+    /// rendered when the artifact was made.
+    pub fn body(&self) -> &str {
+        &self.body
+    }
 }
 
 /// Canonical key of one evaluation point: injective over everything the
@@ -287,12 +305,9 @@ fn layer_from_json(v: &JsonValue) -> Result<LayerResult, ArtifactError> {
 
 /// The members of an evaluation's payload document: the network header
 /// (`model`, `arch`, `scheme`, `frequency_ghz`, `source_pixels`) and
-/// every layer. The served `/evaluate` body is these members plus
-/// `totals`, so stored and served results share these bytes.
-pub fn payload_members(
-    result: &NetworkResult,
-    source_pixels: u64,
-) -> Vec<(&'static str, JsonValue)> {
+/// every layer. The served body ([`result_to_json`]) is these members
+/// plus `totals`, so stored and served results share these bytes.
+fn payload_members(result: &NetworkResult, source_pixels: u64) -> Vec<(&'static str, JsonValue)> {
     vec![
         ("model", result.model.as_str().into()),
         ("arch", result.arch.into()),
@@ -301,6 +316,32 @@ pub fn payload_members(
         ("source_pixels", source_pixels.into()),
         ("layers", JsonValue::Array(result.layers.iter().map(layer_to_json).collect())),
     ]
+}
+
+/// Serializes a [`NetworkResult`] with full fidelity: the artifact
+/// payload's members (header and per-layer counters) plus the derived
+/// totals the CLI prints. `source_pixels` drives the HD FPS projection.
+/// This is the `/evaluate` response body, which [`EvalArtifact::new`]
+/// renders once per artifact.
+///
+/// Deterministic: equal results (and pixel counts) serialize to equal
+/// strings, so "served response == direct evaluation" can be asserted
+/// bytewise.
+pub fn result_to_json(result: &NetworkResult, source_pixels: u64) -> JsonValue {
+    let mut members = payload_members(result, source_pixels);
+    members.push((
+        "totals",
+        JsonValue::object(vec![
+            ("total_cycles", result.total_cycles().into()),
+            ("compute_cycles", result.compute_cycles().into()),
+            ("stall_cycles", result.stall_cycles().into()),
+            ("total_traffic_bytes", result.total_traffic_bytes().into()),
+            ("activation_traffic_bytes", result.activation_traffic_bytes().into()),
+            ("fps", JsonValue::from(result.fps())),
+            ("hd_fps", JsonValue::from(result.fps_scaled(source_pixels, HD_PIXELS))),
+        ]),
+    ));
+    JsonValue::object(members)
 }
 
 /// Serializes an evaluation to the artifact payload document. Every
@@ -328,16 +369,14 @@ pub fn payload_from_json(v: &JsonValue) -> Result<EvalArtifact, ArtifactError> {
         .iter()
         .map(layer_from_json)
         .collect::<Result<Vec<_>, _>>()?;
-    Ok(EvalArtifact {
-        result: NetworkResult {
-            model: str_field(v, "model")?.to_string(),
-            arch,
-            scheme: str_field(v, "scheme")?.to_string(),
-            layers,
-            frequency_ghz: f64_field(v, "frequency_ghz")?,
-        },
-        source_pixels: u64_field(v, "source_pixels")?,
-    })
+    let result = NetworkResult {
+        model: str_field(v, "model")?.to_string(),
+        arch,
+        scheme: str_field(v, "scheme")?.to_string(),
+        layers,
+        frequency_ghz: f64_field(v, "frequency_ghz")?,
+    };
+    Ok(EvalArtifact::new(result, u64_field(v, "source_pixels")?))
 }
 
 /// Renders the complete on-disk artifact document for `key`.
@@ -576,8 +615,8 @@ mod tests {
     use diffy_memsys::{MemoryNode, MemorySystem};
 
     fn sample_artifact() -> EvalArtifact {
-        EvalArtifact {
-            result: NetworkResult {
+        EvalArtifact::new(
+            NetworkResult {
                 model: "IRCNN".to_string(),
                 arch: Architecture::Diffy.name(),
                 scheme: "DeltaD16".to_string(),
@@ -605,8 +644,8 @@ mod tests {
                 }],
                 frequency_ghz: 1.0,
             },
-            source_pixels: 96 * 96,
-        }
+            96 * 96,
+        )
     }
 
     #[test]

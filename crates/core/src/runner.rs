@@ -343,37 +343,54 @@ fn get_or_build<K: Eq + Hash + Clone, V>(
     v
 }
 
-/// A point-in-time summary of a [`SweepCache`]'s counters: request
-/// counts summed over all seven stores, and each store's residency.
+/// A point-in-time summary of a [`SweepCache`]'s counters: each of its
+/// seven stores' requests and residency, and the disk tier's counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
-    /// Requests served from a completed cached artifact.
-    pub hits: u64,
-    /// Requests that computed their artifact.
-    pub misses: u64,
-    /// Artifacts evicted to make room (always 0 for an unbounded cache).
-    pub evictions: u64,
-    /// Distinct weight sets currently materialized.
-    pub cached_weights: usize,
-    /// Distinct traces currently materialized.
-    pub cached_traces: usize,
-    /// Distinct per-layer term planes currently materialized.
-    pub cached_term_planes: usize,
-    /// Distinct `(trace, scheme)` traffic vectors currently materialized.
-    pub cached_traffic: usize,
-    /// Distinct video frame traces currently materialized.
-    pub cached_video_frames: usize,
-    /// Distinct per-frame cycle results (baseline and temporal)
-    /// currently materialized.
-    pub cached_video_cycles: usize,
-    /// Requests that waited on another thread's in-flight computation
-    /// (neither a clean hit nor a fresh miss).
-    pub shared: u64,
-    /// Distinct complete evaluation results currently materialized in
-    /// the memory tier.
-    pub cached_results: usize,
+    /// Weight sets, keyed by `(model, seed)`.
+    pub weights: CacheCounters,
+    /// Trace bundles.
+    pub traces: CacheCounters,
+    /// Per-layer term planes.
+    pub term_planes: CacheCounters,
+    /// `(trace, scheme)` traffic vectors.
+    pub traffic: CacheCounters,
+    /// Video frame traces.
+    pub video_frames: CacheCounters,
+    /// Per-frame cycle results (baseline and temporal).
+    pub video_cycles: CacheCounters,
+    /// Complete evaluation results: the memory result tier.
+    pub results: CacheCounters,
     /// Disk artifact tier counters (all zero when no tier is attached).
     pub disk: DiskStats,
+}
+
+impl CacheStats {
+    /// Every store's counters under its name, in a fixed order.
+    pub fn stores(&self) -> [(&'static str, CacheCounters); 7] {
+        [
+            ("weights", self.weights),
+            ("traces", self.traces),
+            ("term_planes", self.term_planes),
+            ("traffic", self.traffic),
+            ("video_frames", self.video_frames),
+            ("video_cycles", self.video_cycles),
+            ("results", self.results),
+        ]
+    }
+
+    /// The counters summed over all seven stores.
+    pub fn total(&self) -> CacheCounters {
+        let stores = self.stores();
+        let sum = |count: fn(&CacheCounters) -> u64| stores.iter().map(|(_, c)| count(c)).sum();
+        CacheCounters {
+            hits: sum(|c| c.hits),
+            misses: sum(|c| c.misses),
+            shared: sum(|c| c.shared),
+            evictions: sum(|c| c.evictions),
+            resident: stores.iter().map(|(_, c)| c.resident).sum(),
+        }
+    }
 }
 
 impl SweepCache {
@@ -630,7 +647,7 @@ impl SweepCache {
             let bundle = self.bundle(model, dataset, sample, opts);
             let trace_key = (model, dataset, sample, opts.resolution, opts.seed);
             let result = self.evaluate_bundle(&bundle, trace_key, eval);
-            let artifact = EvalArtifact { result, source_pixels: bundle.source_pixels };
+            let artifact = EvalArtifact::new(result, bundle.source_pixels);
             if let Some(disk) = &self.disk {
                 // Best-effort: a full or read-only disk degrades the
                 // tier to memory + compute, never the request.
@@ -640,53 +657,17 @@ impl SweepCache {
         })
     }
 
-    /// Number of distinct weight sets materialized so far.
-    pub fn cached_weights(&self) -> usize {
-        self.weights.counters().resident
-    }
-
-    /// Number of distinct traces materialized so far.
-    pub fn cached_traces(&self) -> usize {
-        self.traces.counters().resident
-    }
-
-    /// Number of distinct per-layer term planes materialized so far.
-    pub fn cached_term_planes(&self) -> usize {
-        self.term_planes.counters().resident
-    }
-
-    /// Number of distinct `(trace, scheme)` traffic vectors materialized
-    /// so far.
-    pub fn cached_traffic(&self) -> usize {
-        self.traffic.counters().resident
-    }
-
-    /// Aggregate hit/miss/shared/eviction counters and residency, for
-    /// the service's `/metrics` endpoint.
+    /// Every store's hit/miss/shared/eviction counters and residency,
+    /// for the service's `/metrics` endpoint.
     pub fn stats(&self) -> CacheStats {
-        let stores = [
-            self.weights.counters(),
-            self.traces.counters(),
-            self.term_planes.counters(),
-            self.traffic.counters(),
-            self.video_frames.counters(),
-            self.video_cycles.counters(),
-            self.results.counters(),
-        ];
-        let total = |count: fn(&CacheCounters) -> u64| stores.iter().map(count).sum();
-        let [weights, traces, term_planes, traffic, video_frames, video_cycles, results] = stores;
         CacheStats {
-            hits: total(|c| c.hits),
-            misses: total(|c| c.misses),
-            evictions: total(|c| c.evictions),
-            cached_weights: weights.resident,
-            cached_traces: traces.resident,
-            cached_term_planes: term_planes.resident,
-            cached_traffic: traffic.resident,
-            cached_video_frames: video_frames.resident,
-            cached_video_cycles: video_cycles.resident,
-            shared: total(|c| c.shared),
-            cached_results: results.resident,
+            weights: self.weights.counters(),
+            traces: self.traces.counters(),
+            term_planes: self.term_planes.counters(),
+            traffic: self.traffic.counters(),
+            video_frames: self.video_frames.counters(),
+            video_cycles: self.video_cycles.counters(),
+            results: self.results.counters(),
             disk: self.disk.as_ref().map(DiskTier::stats).unwrap_or_default(),
         }
     }
@@ -802,8 +783,8 @@ mod tests {
         assert_eq!(*cache.weights(CiModel::Ircnn, opts.seed), w);
         let c = cache.bundle(CiModel::Ircnn, DatasetId::Cbsd68, 0, &opts);
         assert_eq!(c.trace.layers[3].imap, b.trace.layers[3].imap);
-        assert_eq!(cache.cached_weights(), 1);
-        assert_eq!(cache.cached_traces(), 1);
+        assert_eq!(cache.stats().weights.resident, 1);
+        assert_eq!(cache.stats().traces.resident, 1);
     }
 
     #[test]
@@ -819,7 +800,7 @@ mod tests {
         });
         assert!(Arc::ptr_eq(&a, &b), "same key must share one computation");
         assert_eq!(*a, ci_weights(CiModel::Vdsr, opts.seed));
-        assert_eq!(cache.cached_weights(), 1);
+        assert_eq!(cache.stats().weights.resident, 1);
 
         // Same for traces: concurrent same-key bundles are one object and
         // equal the uncached path.
@@ -843,8 +824,8 @@ mod tests {
         for o in [a, b, c] {
             cache.bundle(CiModel::Ircnn, DatasetId::Hd33, 0, &o);
         }
-        assert_eq!(cache.cached_traces(), 3, "distinct keys must not collide");
-        assert_eq!(cache.cached_weights(), 2, "weights keyed by seed only");
+        assert_eq!(cache.stats().traces.resident, 3, "distinct keys must not collide");
+        assert_eq!(cache.stats().weights.resident, 2, "weights keyed by seed only");
     }
 
     #[test]
@@ -924,7 +905,7 @@ mod tests {
                     cache.evaluate(CiModel::Ircnn, DatasetId::Kodak24, 0, &opts, &eval);
                 assert_eq!(cached, fresh.evaluate(&eval), "{scheme:?} must be memo-invariant");
             }
-            assert_eq!(cache.cached_traffic(), i + 1, "one traffic vector per scheme");
+            assert_eq!(cache.stats().traffic.resident, i + 1, "one traffic vector per scheme");
         }
     }
 
@@ -935,28 +916,28 @@ mod tests {
         // count after the first term-serial evaluation and stays flat.
         let opts = WorkloadOptions::test_small();
         let cache = SweepCache::new();
-        assert_eq!(cache.cached_term_planes(), 0);
+        assert_eq!(cache.stats().term_planes.resident, 0);
 
         // VAA never touches term planes.
         let vaa = EvalOptions::new(Architecture::Vaa, SchemeChoice::Ideal);
         cache.evaluate(CiModel::Ircnn, DatasetId::Kodak24, 0, &opts, &vaa);
-        assert_eq!(cache.cached_term_planes(), 0, "VAA needs no term planes");
+        assert_eq!(cache.stats().term_planes.resident, 0, "VAA needs no term planes");
 
         let layers =
             cache.bundle(CiModel::Ircnn, DatasetId::Kodak24, 0, &opts).trace.layers.len();
         let pra = EvalOptions::new(Architecture::Pra, SchemeChoice::Ideal);
         cache.evaluate(CiModel::Ircnn, DatasetId::Kodak24, 0, &opts, &pra);
-        assert_eq!(cache.cached_term_planes(), layers, "one build per layer");
+        assert_eq!(cache.stats().term_planes.resident, layers, "one build per layer");
 
         // Diffy (and a repeated PRA run) reuse the same planes.
         let diffy = EvalOptions::new(Architecture::Diffy, SchemeChoice::Ideal);
         cache.evaluate(CiModel::Ircnn, DatasetId::Kodak24, 0, &opts, &diffy);
         cache.evaluate(CiModel::Ircnn, DatasetId::Kodak24, 0, &opts, &pra);
-        assert_eq!(cache.cached_term_planes(), layers, "no rebuilds across modes");
+        assert_eq!(cache.stats().term_planes.resident, layers, "no rebuilds across modes");
 
         // A different trace key gets its own planes.
         cache.evaluate(CiModel::Ircnn, DatasetId::Cbsd68, 0, &opts, &diffy);
-        assert_eq!(cache.cached_term_planes(), 2 * layers);
+        assert_eq!(cache.stats().term_planes.resident, 2 * layers);
     }
 
     #[test]
@@ -972,7 +953,7 @@ mod tests {
             let mut eval = EvalOptions::new(Architecture::Diffy, SchemeChoice::Ideal);
             eval.cfg = eval.cfg.with_terms_per_group(g);
             let cached = cache.evaluate(CiModel::Ircnn, DatasetId::Kodak24, 0, &opts, &eval);
-            assert_eq!(cache.cached_term_planes(), n * layers, "T{g}");
+            assert_eq!(cache.stats().term_planes.resident, n * layers, "T{g}");
             assert_eq!(cached, fresh.evaluate(&eval), "T{g}");
         }
     }
@@ -998,8 +979,8 @@ mod tests {
         for (r, point) in par.iter().zip(&points) {
             assert_eq!(*r, fresh.evaluate(&point.eval));
         }
-        assert_eq!(cache.cached_traces(), 1);
-        assert_eq!(cache.cached_term_planes(), fresh.trace.layers.len());
+        assert_eq!(cache.stats().traces.resident, 1);
+        assert_eq!(cache.stats().term_planes.resident, fresh.trace.layers.len());
     }
 
     #[test]
@@ -1022,8 +1003,8 @@ mod tests {
             }
         }
         let stats = bounded.stats();
-        assert!(stats.evictions > 0, "1-trace capacity must evict: {stats:?}");
-        assert!(stats.cached_traces <= 1);
+        assert!(stats.total().evictions > 0, "1-trace capacity must evict: {stats:?}");
+        assert!(stats.traces.resident <= 1);
     }
 
     #[test]
@@ -1033,17 +1014,18 @@ mod tests {
         cache.bundle(CiModel::Ircnn, DatasetId::Kodak24, 0, &opts);
         cache.bundle(CiModel::Ircnn, DatasetId::Kodak24, 0, &opts);
         let s = cache.stats();
-        assert_eq!(s.cached_traces, 1);
-        assert_eq!(s.evictions, 0, "unbounded stores never evict");
+        assert_eq!(s.traces.resident, 1);
+        assert_eq!(s.total().evictions, 0, "unbounded stores never evict");
         // 1 weights miss + 1 trace miss, then 1 trace hit (the second
         // bundle call never touches the weights store).
-        assert_eq!(s.misses, 2);
-        assert_eq!(s.hits, 1);
+        assert_eq!(s.total().misses, 2);
+        assert_eq!(s.total().hits, 1);
+        assert_eq!((s.traces.hits, s.traces.misses, s.weights.misses), (1, 1, 1));
         cache.clear();
         let s = cache.stats();
-        assert_eq!(s.cached_traces, 0);
-        assert_eq!(s.cached_weights, 0);
-        assert_eq!((s.hits, s.misses), (1, 2), "counters survive clear");
+        assert_eq!(s.traces.resident, 0);
+        assert_eq!(s.weights.resident, 0);
+        assert_eq!((s.total().hits, s.total().misses), (1, 2), "counters survive clear");
     }
 
     #[test]
@@ -1085,10 +1067,10 @@ mod tests {
             assert_eq!(cached.source_pixels, 24 * 24);
         }
         let stats = cache.stats();
-        assert_eq!(stats.cached_video_frames, spec.frames);
+        assert_eq!(stats.video_frames.resident, spec.frames);
         // A repeated request is a hit, not a rebuild.
         cache.video_frame(&spec, 0);
-        assert_eq!(cache.stats().cached_video_frames, spec.frames);
+        assert_eq!(cache.stats().video_frames.resident, spec.frames);
     }
 
     #[test]
@@ -1230,9 +1212,10 @@ mod tests {
             .with_disk(crate::artifact::DiskTier::open(&dir).unwrap());
         assert_eq!(warmed_cache.warm_from_disk(), 2, "both artifacts warm");
         let stats = warmed_cache.stats();
-        assert_eq!(stats.cached_results, 2);
+        assert_eq!(stats.results.resident, 2);
         assert_eq!(stats.disk.hits, 0, "warmup is not request traffic");
-        assert_eq!((stats.hits, stats.misses), (0, 0), "nor is it memory-tier traffic");
+        let total = stats.total();
+        assert_eq!((total.hits, total.misses), (0, 0), "nor is it memory-tier traffic");
 
         // Warmed requests are pure memory hits: no disk read, no compute
         // (the trace/weight stores stay empty).
@@ -1243,7 +1226,7 @@ mod tests {
         }
         let after = warmed_cache.stats();
         assert_eq!(after.disk.hits + after.disk.misses, 0, "served from memory");
-        assert_eq!(after.cached_traces, 0, "no compute path was taken");
+        assert_eq!(after.traces.resident, 0, "no compute path was taken");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1271,7 +1254,7 @@ mod tests {
         let eval = EvalOptions::new(Architecture::Diffy, SchemeChoice::Ideal);
         cache.evaluate_keyed(CiModel::Ircnn, DatasetId::Kodak24, 0, &opts, &eval);
         let stats = cache.stats();
-        assert_eq!(stats.hits, 0, "{stats:?}");
-        assert!(stats.misses > 0, "{stats:?}");
+        assert_eq!(stats.total().hits, 0, "{stats:?}");
+        assert!(stats.total().misses > 0, "{stats:?}");
     }
 }

@@ -40,7 +40,7 @@ pub fn base_document() -> &'static str {
         let result = cache.evaluate(req.model, req.dataset, req.sample, &opts, &eval);
         let source_pixels = cache.bundle(req.model, req.dataset, req.sample, &opts).source_pixels;
         let key = diffy_core::result_key(req.model, req.dataset, req.sample, &opts, &eval);
-        artifact_document(&key, &EvalArtifact { result, source_pixels })
+        artifact_document(&key, &EvalArtifact::new(result, source_pixels))
     })
 }
 

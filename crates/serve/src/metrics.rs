@@ -337,6 +337,21 @@ impl Metrics {
                 )
             })
             .collect();
+        let total = cache.total();
+        let stores = cache
+            .stores()
+            .iter()
+            .map(|(name, c)| {
+                let counters = JsonValue::object(vec![
+                    ("hits", c.hits.into()),
+                    ("misses", c.misses.into()),
+                    ("shared", c.shared.into()),
+                    ("evictions", c.evictions.into()),
+                    ("resident", c.resident.into()),
+                ]);
+                (name.to_string(), counters)
+            })
+            .collect();
         JsonValue::object(vec![
             ("requests_total", self.requests_total.load(Ordering::Relaxed).into()),
             (
@@ -369,17 +384,17 @@ impl Metrics {
             (
                 "cache",
                 JsonValue::object(vec![
-                    ("hits", cache.hits.into()),
-                    ("misses", cache.misses.into()),
-                    ("shared", cache.shared.into()),
-                    ("evictions", cache.evictions.into()),
-                    ("traces", cache.cached_traces.into()),
-                    ("weights", cache.cached_weights.into()),
-                    ("term_planes", cache.cached_term_planes.into()),
-                    ("traffic", cache.cached_traffic.into()),
-                    ("video_frames", cache.cached_video_frames.into()),
-                    ("video_cycles", cache.cached_video_cycles.into()),
-                    ("results", cache.cached_results.into()),
+                    ("hits", total.hits.into()),
+                    ("misses", total.misses.into()),
+                    ("shared", total.shared.into()),
+                    ("evictions", total.evictions.into()),
+                    ("traces", cache.traces.resident.into()),
+                    ("weights", cache.weights.resident.into()),
+                    ("term_planes", cache.term_planes.resident.into()),
+                    ("traffic", cache.traffic.resident.into()),
+                    ("video_frames", cache.video_frames.resident.into()),
+                    ("video_cycles", cache.video_cycles.resident.into()),
+                    ("results", cache.results.resident.into()),
                     (
                         "disk",
                         JsonValue::object(vec![
@@ -389,6 +404,7 @@ impl Metrics {
                             ("bytes", cache.disk.bytes.into()),
                         ]),
                     ),
+                    ("stores", JsonValue::Object(stores)),
                 ]),
             ),
             (
@@ -430,6 +446,7 @@ impl Default for Metrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use diffy_core::CacheCounters;
 
     #[test]
     fn histogram_quantiles_bracket_observations() {
@@ -485,9 +502,8 @@ mod tests {
             frames: 9,
         };
         let cache_stats = CacheStats {
-            hits: 5,
-            misses: 2,
-            shared: 1,
+            traces: CacheCounters { hits: 1, misses: 2, shared: 0, evictions: 0, resident: 2 },
+            results: CacheCounters { hits: 4, misses: 0, shared: 1, evictions: 3, resident: 6 },
             disk: diffy_core::artifact::DiskStats { hits: 4, misses: 3, corrupt: 1, bytes: 2048 },
             ..CacheStats::default()
         };
@@ -496,8 +512,26 @@ mod tests {
         assert_eq!(v.get("queue_depth").unwrap().as_u64(), Some(1));
         assert_eq!(v.get("responses").unwrap().get("200").unwrap().as_u64(), Some(2));
         assert_eq!(v.get("responses").unwrap().get("503").unwrap().as_u64(), Some(1));
-        assert_eq!(v.get("cache").unwrap().get("hits").unwrap().as_u64(), Some(5));
-        assert_eq!(v.get("cache").unwrap().get("shared").unwrap().as_u64(), Some(1));
+        let cache = v.get("cache").unwrap();
+        assert_eq!(cache.get("hits").unwrap().as_u64(), Some(5));
+        assert_eq!(cache.get("misses").unwrap().as_u64(), Some(2));
+        assert_eq!(cache.get("shared").unwrap().as_u64(), Some(1));
+        assert_eq!(cache.get("evictions").unwrap().as_u64(), Some(3));
+        assert_eq!(cache.get("traces").unwrap().as_u64(), Some(2));
+        assert_eq!(cache.get("results").unwrap().as_u64(), Some(6));
+        // Each store's own counters follow the totals, named as the
+        // residency members are.
+        let stores = cache.get("stores").unwrap();
+        for (name, _) in cache_stats.stores() {
+            assert!(stores.get(name).is_some(), "store {name} rendered");
+        }
+        let results = stores.get("results").unwrap();
+        let field = |k: &str| results.get(k).unwrap().as_u64();
+        assert_eq!(
+            [field("hits"), field("misses"), field("shared"), field("evictions"), field("resident")],
+            [Some(4), Some(0), Some(1), Some(3), Some(6)]
+        );
+        assert_eq!(stores.get("weights").unwrap().get("hits").unwrap().as_u64(), Some(0));
         let disk = v.get("cache").unwrap().get("disk").unwrap();
         assert_eq!(disk.get("hits").unwrap().as_u64(), Some(4));
         assert_eq!(disk.get("misses").unwrap().as_u64(), Some(3));

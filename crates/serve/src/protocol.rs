@@ -3,17 +3,19 @@
 //!
 //! [`EvalRequest`] names the same knobs the CLI exposes — model, dataset,
 //! sample, resolution, seed, architecture, storage scheme, memory node —
-//! and [`result_to_json`] renders a [`NetworkResult`] with full fidelity:
-//! every per-layer counter the runner produces, integers as integers
-//! (`u64`-exact, see `diffy_core::json`), floats in shortest-roundtrip
-//! form. Serialization is deterministic, so two evaluations that are
-//! bit-identical in memory are byte-identical on the wire — the property
-//! the end-to-end tests assert.
+//! and [`result_to_json`] (defined beside the artifact codec in
+//! `diffy_core::artifact`, and re-exported here) renders a result with
+//! full fidelity: every per-layer counter the runner produces, integers
+//! as integers (`u64`-exact, see `diffy_core::json`), floats in
+//! shortest-roundtrip form. Serialization is deterministic, so two
+//! evaluations that are bit-identical in memory are byte-identical on
+//! the wire — the property the end-to-end tests assert.
 
-use diffy_core::accelerator::{EvalOptions, NetworkResult, SchemeChoice};
-use diffy_core::artifact::{layer_cycles_to_json, payload_members};
+use diffy_core::accelerator::{EvalOptions, SchemeChoice};
+use diffy_core::artifact::layer_cycles_to_json;
+pub use diffy_core::artifact::result_to_json;
 use diffy_core::json::{parse, JsonValue};
-use diffy_core::runner::{VideoSpec, WorkloadOptions, HD_PIXELS};
+use diffy_core::runner::{VideoSpec, WorkloadOptions};
 use diffy_imaging::datasets::DatasetId;
 use diffy_imaging::scenes::SceneKind;
 use diffy_memsys::{MemoryNode, MemorySystem};
@@ -199,30 +201,6 @@ fn parse_scene(name: &str) -> Result<SceneKind, String> {
 fn parse_mode(name: &str) -> Result<TemporalMode, String> {
     let names = TemporalMode::ALL.into_iter().flat_map(|m| [(m.name(), m), (m.label(), m)]);
     lookup("mode", name, names)
-}
-
-/// Serializes a [`NetworkResult`] with full fidelity: the artifact
-/// payload's members (header and per-layer counters) plus the derived
-/// totals the CLI prints. `source_pixels` drives the HD FPS projection.
-///
-/// Deterministic: equal results (and pixel counts) serialize to equal
-/// strings, so "served response == direct evaluation" can be asserted
-/// bytewise.
-pub fn result_to_json(result: &NetworkResult, source_pixels: u64) -> JsonValue {
-    let mut members = payload_members(result, source_pixels);
-    members.push((
-        "totals",
-        JsonValue::object(vec![
-            ("total_cycles", result.total_cycles().into()),
-            ("compute_cycles", result.compute_cycles().into()),
-            ("stall_cycles", result.stall_cycles().into()),
-            ("total_traffic_bytes", result.total_traffic_bytes().into()),
-            ("activation_traffic_bytes", result.activation_traffic_bytes().into()),
-            ("fps", JsonValue::from(result.fps())),
-            ("hd_fps", JsonValue::from(result.fps_scaled(source_pixels, HD_PIXELS))),
-        ]),
-    ));
-    JsonValue::object(members)
 }
 
 /// Largest accepted streaming-session frame horizon. The horizon is

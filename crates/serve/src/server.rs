@@ -68,6 +68,10 @@
 //! of the body decode), `evaluate`, `serialize` and `write`. `/evaluate`
 //! and `/evaluate/batch` record all five; the session routes record all
 //! but `serialize`, since their handlers serialize inside `evaluate`.
+//! A result's body is rendered once, when its `EvalArtifact` is made
+//! (inside `evaluate` on a miss), so `serialize` on `/evaluate` only
+//! hands over the stored bytes, and on `/evaluate/batch` splices each
+//! item's stored body into the envelope.
 //!
 //! # Accounting
 //!
@@ -99,7 +103,7 @@ use crate::http::{
 };
 use crate::metrics::{CloseReason, Metrics, Stage};
 use crate::poller::{self, Poller, FIRST_CONN_TOKEN, LISTENER_TOKEN};
-use crate::protocol::{self, error_body, result_to_json, BatchRequest, EvalRequest};
+use crate::protocol::{self, error_body, BatchRequest, EvalRequest};
 use crate::session::{self, SessionStore};
 use diffy_core::artifact::{DiskTier, EvalArtifact};
 use diffy_core::json::JsonValue;
@@ -1120,9 +1124,7 @@ fn handle_connection(shared: &Shared, mut conn: QueuedConn) {
                         evaluate_one(shared, &req, anchor, req.deadline_ms)
                     })
                     .map_err(|(status, e)| (status, error_body(&e)))?;
-                    let body = stage(shared, Stage::Serialize, || {
-                        result_to_json(&artifact.result, artifact.source_pixels).to_json()
-                    });
+                    let body = stage(shared, Stage::Serialize, || artifact.body().to_owned());
                     Ok((200, body))
                 })
             }
@@ -1328,41 +1330,45 @@ fn evaluate_batch(
         .iter()
         .map(|item| {
             move || {
-                let outcome = item
-                    .as_ref()
+                item.as_ref()
                     .map_err(|e| (400, e.clone()))
-                    .and_then(|req| evaluate_one(shared, req, anchor, batch.deadline_ms));
-                match outcome {
-                    Ok(a) => (
-                        200,
-                        JsonValue::object(vec![
-                            ("status", 200u64.into()),
-                            ("result", result_to_json(&a.result, a.source_pixels)),
-                        ]),
-                    ),
-                    Err((status, e)) => (
-                        status,
-                        JsonValue::object(vec![
-                            ("status", u64::from(status).into()),
-                            ("error", JsonValue::from(e.as_str())),
-                        ]),
-                    ),
-                }
+                    .and_then(|req| evaluate_one(shared, req, anchor, batch.deadline_ms))
             }
         })
         .collect();
     let outcomes = stage(shared, Stage::Evaluate, || run_jobs(tasks, Jobs::new(1 + permits.n)));
     drop(permits);
-    let errors = outcomes.iter().filter(|(s, _)| *s != 200).count();
-    let body = stage(shared, Stage::Serialize, || {
-        JsonValue::object(vec![
-            ("count", outcomes.len().into()),
-            ("errors", errors.into()),
-            ("items", JsonValue::Array(outcomes.into_iter().map(|(_, v)| v).collect())),
-        ])
-        .to_json()
-    });
-    Ok((200, body))
+    Ok((200, stage(shared, Stage::Serialize, || batch_response(&outcomes))))
+}
+
+/// The batch response body, spliced as text from each item's stored
+/// result body or its error: the bytes `JsonValue` renders for
+/// `{"count": n, "errors": e, "items": […]}`, without re-rendering any
+/// result.
+fn batch_response(outcomes: &[Result<Arc<EvalArtifact>, (u16, String)>]) -> String {
+    let errors = outcomes.iter().filter(|o| o.is_err()).count();
+    let mut body = format!("{{\"count\":{},\"errors\":{errors},\"items\":[", outcomes.len());
+    for (i, outcome) in outcomes.iter().enumerate() {
+        if i > 0 {
+            body.push(',');
+        }
+        match outcome {
+            Ok(artifact) => {
+                body.push_str("{\"status\":200,\"result\":");
+                body.push_str(artifact.body());
+                body.push('}');
+            }
+            Err((status, e)) => body.push_str(
+                &JsonValue::object(vec![
+                    ("status", u64::from(*status).into()),
+                    ("error", e.as_str().into()),
+                ])
+                .to_json(),
+            ),
+        }
+    }
+    body.push_str("]}");
+    body
 }
 
 #[cfg(test)]

@@ -566,7 +566,7 @@ mod tests {
             };
             let v = parse(&body).unwrap();
             assert_eq!(v.get("result").unwrap().to_json(), cycles_to_json(&expect).to_json());
-            assert!(cache.stats().cached_video_frames <= 1);
+            assert!(cache.stats().video_frames.resident <= 1);
         }
     }
 

@@ -131,6 +131,6 @@ fn sweep_reuses_each_trace_across_architectures() {
     let cache = SweepCache::new();
     let _ = cache.evaluate_points(&jobs, Jobs::new(4));
     // One trace per (model, dataset) pair — not one per job.
-    assert_eq!(cache.cached_traces(), jobs.len() / ARCHS.len());
-    assert_eq!(cache.cached_weights(), CiModel::ALL.len());
+    assert_eq!(cache.stats().traces.resident, jobs.len() / ARCHS.len());
+    assert_eq!(cache.stats().weights.resident, CiModel::ALL.len());
 }

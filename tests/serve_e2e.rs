@@ -84,6 +84,13 @@ fn served_results_are_bit_identical_across_concurrent_clients() {
     let m = diffy::core::json::parse(&metrics.body).expect("metrics body is JSON");
     assert_eq!(m.get("responses").unwrap().get("200").unwrap().as_u64(), Some(16));
     assert!(m.get("cache").unwrap().get("hits").unwrap().as_u64().unwrap() > 0);
+    // The result store computed each of the four keys once and served
+    // the other twelve requests: as hits, or by sharing an in-flight
+    // computation.
+    let results = m.get("cache").unwrap().get("stores").unwrap().get("results").unwrap();
+    let count = |k: &str| results.get(k).unwrap().as_u64().unwrap();
+    assert_eq!(count("misses"), 4, "results store: {}", results.to_json());
+    assert_eq!(count("hits") + count("shared"), 12, "results store: {}", results.to_json());
     assert!(m.get("latency_ms").unwrap().get("count").unwrap().as_u64().unwrap() >= 16);
 
     handle.shutdown();

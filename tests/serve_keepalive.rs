@@ -37,11 +37,16 @@ fn boot(config: ServeConfig) -> (SocketAddr, ServerHandle, JoinHandle<()>) {
 /// request the same way, evaluate directly (no server, no cache), and
 /// serialize deterministically.
 fn direct_evaluation(body: &str) -> String {
+    direct_result(body).to_json()
+}
+
+/// [`direct_evaluation`] before it is rendered to text.
+fn direct_result(body: &str) -> JsonValue {
     let parsed = parse_json(body).expect("test body is valid JSON");
     let req = EvalRequest::from_json(&parsed).expect("test body is a valid request");
     let bundle = ci_trace_bundle(req.model, req.dataset, req.sample, &req.workload());
     let result = bundle.evaluate(&req.eval_options());
-    result_to_json(&result, bundle.source_pixels).to_json()
+    result_to_json(&result, bundle.source_pixels)
 }
 
 /// Fetches and parses `/metrics` over a one-shot connection.
@@ -172,6 +177,27 @@ fn batch_items_are_bit_identical_to_standalone_evaluations() {
         "item 3: {:?}",
         items[3]
     );
+
+    // The whole body, envelope and error item included, is the one
+    // `JsonValue` rendering of the batch.
+    let bad_item = r#"{"model": "nope", "dataset": "Kodak24", "resolution": 32}"#;
+    let error = EvalRequest::from_json(&parse_json(bad_item).unwrap()).unwrap_err();
+    let mut expected_items: Vec<JsonValue> = standalone
+        .iter()
+        .map(|body| {
+            JsonValue::object(vec![("status", 200u64.into()), ("result", direct_result(body))])
+        })
+        .collect();
+    expected_items.push(JsonValue::object(vec![
+        ("status", 400u64.into()),
+        ("error", error.as_str().into()),
+    ]));
+    let expected_batch = JsonValue::object(vec![
+        ("count", 4u64.into()),
+        ("errors", 1u64.into()),
+        ("items", JsonValue::Array(expected_items)),
+    ]);
+    assert_eq!(resp.body, expected_batch.to_json(), "whole batch body");
 
     let m = metrics(addr);
     assert_eq!(m.get("batch_items_total").unwrap().as_u64(), Some(4));
